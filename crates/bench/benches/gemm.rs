@@ -1,19 +1,18 @@
 //! GEMM throughput: backend comparison at 32³ (the cost of simulating
-//! approximate arithmetic), plus the engine trajectory — scalar
-//! reference vs serial tiled vs serial prepared-panel vs the serial
-//! lane-packed **microkernel** layer vs tiled+parallel — at 64³ and
-//! 256³ for the exact and PC3_tr backends. The ≥4× engine-vs-reference
-//! target for 256³ PC3 on a multi-core runner and the
-//! microkernel-vs-reference single-core win are tracked here (see also
-//! the `bench_gemm_json` bin, which emits the same trajectory as
-//! machine-readable `BENCH_gemm.json`).
+//! approximate arithmetic), plus the engine trajectory — the seed's
+//! scalar loop vs the scalar reference vs the serial lane-packed
+//! **microkernel** layer (a `GemmPlan` built and run as one C chunk) vs
+//! the auto-dispatched engine — at 64³ and 256³ for the exact and
+//! PC3_tr backends. The ≥4× engine-vs-reference target for 256³ PC3 on
+//! a multi-core runner and the microkernel-vs-reference single-core win
+//! are tracked here (see also the `bench_gemm_json` bin, which emits the
+//! same trajectory as machine-readable `BENCH_gemm.json`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use daism_core::{
-    gemm_microkernel_serial, gemm_prepared_serial, gemm_reference, gemm_tiled_serial, ApproxFpMul,
-    BlockFpGemm, ExactMul, MultiplierConfig, QuantizedExactMul, ScalarMul,
+    gemm, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul, GemmPlan, MultiplierConfig,
+    QuantizedExactMul, ScalarMul,
 };
-use daism_dnn::gemm;
 use daism_num::FpFormat;
 
 fn test_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
@@ -73,8 +72,8 @@ fn seed_scalar_gemm(
     }
 }
 
-/// seed loop vs reference vs serial-tiled vs tiled+parallel, per backend
-/// and size — the speedup trajectory of the engine refactor.
+/// seed loop vs reference vs serial microkernel vs auto-dispatched
+/// engine, per backend and size — the speedup trajectory of the engine.
 fn gemm_engine_trajectory(c: &mut Criterion) {
     let backends: Vec<(&str, Box<dyn ScalarMul>)> = vec![
         ("exact_f32", Box::new(ExactMul)),
@@ -115,48 +114,11 @@ fn gemm_engine_trajectory(c: &mut Criterion) {
                     black_box(out)
                 })
             });
-            group.bench_function(format!("{name}/tiled"), |bench| {
-                bench.iter(|| {
-                    let mut out = vec![0.0f32; m * n];
-                    gemm_tiled_serial(
-                        backend.as_ref(),
-                        black_box(&a),
-                        black_box(&b),
-                        &mut out,
-                        m,
-                        k,
-                        n,
-                    );
-                    black_box(out)
-                })
-            });
-            group.bench_function(format!("{name}/prepared"), |bench| {
-                bench.iter(|| {
-                    let mut out = vec![0.0f32; m * n];
-                    gemm_prepared_serial(
-                        backend.as_ref(),
-                        black_box(&a),
-                        black_box(&b),
-                        &mut out,
-                        m,
-                        k,
-                        n,
-                    );
-                    black_box(out)
-                })
-            });
             group.bench_function(format!("{name}/microkernel"), |bench| {
                 bench.iter(|| {
                     let mut out = vec![0.0f32; m * n];
-                    gemm_microkernel_serial(
-                        backend.as_ref(),
-                        black_box(&a),
-                        black_box(&b),
-                        &mut out,
-                        m,
-                        k,
-                        n,
-                    );
+                    let plan = GemmPlan::new(backend.as_ref(), black_box(&b), k, n);
+                    plan.run_chunked(backend.as_ref(), black_box(&a), &mut out, m, m);
                     black_box(out)
                 })
             });

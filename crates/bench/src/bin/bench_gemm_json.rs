@@ -18,10 +18,10 @@
 //! actually select, so the guard below is meaningful):
 //!
 //! * `reference` — the scalar loop, the semantic anchor;
-//! * `microkernel` — the serial lane-packed layer
-//!   ([`gemm_microkernel_serial`]): the packed register-tile `f32`
-//!   kernel for `exact_f32`, the SoA lane-packed prepared-panel kernel
-//!   for the approximate backend;
+//! * `microkernel` — the serial lane-packed layer: a [`GemmPlan`] built
+//!   per call and run as one C chunk ([`plan_serial`]) — the packed
+//!   register-tile `f32` kernel for `exact_f32`, the SoA lane-packed
+//!   prepared-panel kernel for the approximate backend;
 //! * `parallel` — the auto-dispatched engine ([`gemm`]), which adds the
 //!   thread gate on top.
 //!
@@ -46,16 +46,30 @@
 //!   seam).
 
 use daism_core::{
-    gemm, gemm_microkernel_serial, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul,
-    MultiplierConfig, ScalarMul,
+    gemm, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul, GemmPlan, MultiplierConfig, ScalarMul,
 };
 use daism_num::FpFormat;
 use std::time::Instant;
 
 type GemmFn = fn(&dyn ScalarMul, &[f32], &[f32], &mut [f32], usize, usize, usize);
 
+/// B converted tile by tile at plan time, then every tile run over all
+/// `m` rows on the calling thread: the serial kernel layer without the
+/// thread gate.
+fn plan_serial(
+    mul: &dyn ScalarMul,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    GemmPlan::new(mul, b, k, n).run_chunked(mul, a, c, m, m.max(1));
+}
+
 const VARIANTS: &[(&str, GemmFn)] =
-    &[("reference", gemm_reference), ("microkernel", gemm_microkernel_serial), ("parallel", gemm)];
+    &[("reference", gemm_reference), ("microkernel", plan_serial), ("parallel", gemm)];
 
 type BlockFpFn = fn(&BlockFpGemm, &[f32], &[f32], &mut [f32], usize, usize, usize);
 

@@ -7,38 +7,44 @@
 //!
 //! `C[m×n] += A[m×k] · B[k×n]` (row-major) with every scalar product
 //! routed through a [`ScalarMul`] backend and accumulation at `f32`.
-//! Four layers of structure:
+//! It mirrors the accelerator's dataflow (paper §III–IV): the stored
+//! operand (B) is programmed into the array once per tile, then the
+//! streaming operand (A) is passed over it.
 //!
-//! 1. **Pre-decoded B panels** — each packed `KC×NC` B-panel is decoded
-//!    **once per tile** via [`ScalarMul::prepare_panel`] and consumed by
-//!    [`ScalarMul::mul_prepared`] for every C row of the tile, so the
-//!    per-MAC `FpScalar::from_f32` disappears from approximate backends
-//!    entirely (and [`QuantizedExactMul`](crate::QuantizedExactMul)
-//!    skips its per-MAC operand quantization). The native-`f32` backend
-//!    keeps its fused branchless FMA path instead — a panel copy would
-//!    only add memory traffic there.
-//! 2. **Batched backend calls** — the inner loop issues one panel call
-//!    per (A-element, B-row-panel) pair instead of a virtual call per
-//!    scalar, letting backends hoist A-operand decode and line-pattern
-//!    derivation out of the panel loop (and the
-//!    [`MantissaMultiplier`](crate::MantissaMultiplier) serve products
-//!    from its memoized table).
-//! 3. **Cache blocking** — `KC`-deep × `NC`-wide blocks keep the active
-//!    (prepared) B panel and C row segment resident while A elements
-//!    stream.
-//! 4. **Row-panel parallelism** — row panels of C are distributed over
-//!    the persistent worker pool (rayon); prepared B panels are shared
-//!    read-only across threads, so B is decoded once per tile *per
-//!    GEMM*, not per thread. Panels write disjoint C regions, so
-//!    results never depend on scheduling.
+//! One private tile walk drives every float entry point: `KC × NC` tiles
+//! of B, `j0` outer and `l0` inner, each tile run over the whole C
+//! matrix or over `chunk_rows`-row C slabs spread across the persistent
+//! worker pool (rayon). Each tile reaches its kernel in one of three
+//! operand forms:
+//!
+//! * **fused** — the raw B row segments, one [`ScalarMul::mul_rows`]
+//!   per (A-element, B-row) pair. Native-`f32` problems too small to
+//!   amortise packing, `m == 1`, and backends without a panel cache;
+//! * **panels** — one [`PreparedPanel`] per B row, decoded once per tile
+//!   by [`ScalarMul::prepare_panel`] and consumed by
+//!   [`ScalarMul::mul_prepared`] for every C row, so the per-MAC
+//!   `FpScalar::from_f32` disappears from approximate backends (and
+//!   [`QuantizedExactMul`](crate::QuantizedExactMul) skips its per-MAC
+//!   operand quantization);
+//! * **packed** — `NR`-major panels for the register-tile `f32`
+//!   microkernel (`microkernel.rs`).
+//!
+//! The walk takes B from one of two sources. [`gemm`] converts each tile
+//! of the raw matrix just before that tile's MACs, so it never holds
+//! more than one converted tile. A [`GemmPlan`] converts every tile once
+//! at build time and [`GemmPlan::run`] borrows them on every call — the
+//! weight-stationary form a compiled inference session serves from.
+//! Either way a converted tile is shared read-only across the C slabs,
+//! so B is decoded (or packed) once per tile per GEMM, not per thread.
 //!
 //! # Bit-exactness
 //!
-//! [`gemm`] is a *speed* refactor, not a semantics change: for every
+//! The engine is a *speed* refactor, not a semantics change: for every
 //! output element the products are accumulated in ascending-`k` order,
 //! exactly as the scalar reference loop does, so results are
-//! **bit-identical** to [`gemm_reference`] for every backend (enforced
-//! by the differential property suite in `tests/gemm_differential.rs`).
+//! **bit-identical** to [`gemm_reference`] for every backend, source,
+//! form and chunking (enforced by the differential property suite in
+//! `tests/gemm_differential.rs`).
 //!
 //! Zero operands are skipped rather than multiplied — mirroring the
 //! hardware's zero gating (paper §III-C), where a zero operand never
@@ -50,7 +56,7 @@ use crate::config::{MultiplierConfig, OperandMode};
 use crate::fp::PreparedPanel;
 use crate::mantissa::MantissaMultiplier;
 use crate::microkernel;
-use crate::ScalarMul;
+use crate::{ExactMul, ScalarMul};
 use daism_num::BlockFp;
 use rayon::prelude::*;
 
@@ -83,12 +89,11 @@ fn check_shapes(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) {
 }
 
 /// The one parallel gate every engine entry point shares — [`gemm`],
-/// [`gemm_with_prepared_b`] and the BlockFp engine must dispatch
-/// identically or their bit-identity contracts stop being testable one
-/// path at a time. `Some(chunk_rows)` when the problem clears the
-/// MAC/thread/row gates (C row chunks sized so every worker gets a
-/// share, capped at `MC` rows for cache residency); `None` for the
-/// serial path.
+/// [`GemmPlan::run`] and the BlockFp engine must dispatch identically or
+/// their bit-identity contracts stop being testable one path at a time.
+/// `Some(chunk_rows)` when the problem clears the MAC/thread/row gates
+/// (C row chunks sized so every worker gets a share, capped at `MC` rows
+/// for cache residency); `None` for the serial path.
 fn par_chunk_rows(m: usize, k: usize, n: usize) -> Option<usize> {
     let macs = m.saturating_mul(k).saturating_mul(n);
     let threads = rayon::current_num_threads();
@@ -96,6 +101,20 @@ fn par_chunk_rows(m: usize, k: usize, n: usize) -> Option<usize> {
         Some(MC.min(m.div_ceil(threads)).max(1))
     } else {
         None
+    }
+}
+
+/// Runs `slab(i0, c_slab)` over the whole `c` (`i0 == 0`), or over its
+/// `chunk_rows`-row chunks across the pool, each starting at global row
+/// `i0`. Chunks write disjoint C regions, so results never depend on
+/// scheduling.
+fn for_each_slab<F>(c: &mut [f32], n: usize, chunk_rows: Option<usize>, slab: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync + Send,
+{
+    match chunk_rows {
+        None => slab(0, c),
+        Some(cr) => c.par_chunks_mut(cr * n).enumerate().for_each(|(ci, cs)| slab(ci * cr, cs)),
     }
 }
 
@@ -137,15 +156,15 @@ pub fn gemm_reference(
 /// cache-blocked, pre-decoded, parallel engine — bit-identical to
 /// [`gemm_reference`], much faster.
 ///
-/// Backends with a panel cache ([`ScalarMul::supports_prepared_panels`])
-/// take the prepared-panel path (each `KC×NC` B-panel decoded once,
-/// shared across rows and threads); native-`f32` backends — and `m == 1`
-/// or cache-less backends, where pre-decode has no cross-row reuse to
-/// amortise — keep the fused per-call path. Small problems
-/// (under ~16k MACs) run serially; larger ones split C row panels
-/// across the persistent worker pool. Either way the per-element
-/// accumulation order is ascending-`k`, so the result does not depend
-/// on problem size or thread count.
+/// Each `KC×NC` tile of B is converted just before its MACs: packed for
+/// the register-tile microkernel (native-`f32` problems big enough to
+/// amortise packing), decoded into panels (panel-caching backends with
+/// `m > 1`), or left raw for the fused loop (everything else — `m == 1`
+/// has no cross-row reuse to amortise a decode). Small problems (under
+/// ~16k MACs) run serially; larger ones split C row panels across the
+/// persistent worker pool. Either way the per-element accumulation order
+/// is ascending-`k`, so the result does not depend on problem size or
+/// thread count.
 ///
 /// # Panics
 ///
@@ -176,59 +195,37 @@ pub fn gemm(
         return; // nothing to accumulate
     }
     let macs = m.saturating_mul(k).saturating_mul(n);
-    let chunk = par_chunk_rows(m, k, n);
-    if mul.is_native_f32() {
+    let form = if mul.is_native_f32() {
         // Native f32: the packed register-tile microkernel wins once
         // there is enough work to amortise packing; tiny or row-vector
         // problems keep the fused loop (which is then exactly the
         // reference loop, so neither regime regresses below naive).
-        // (`MICRO_MIN_M` ≥ 2, so the shared gate's `m > 1` condition is
-        // already implied inside the microkernel branch.)
         if m >= MICRO_MIN_M && macs >= MICRO_MIN_MACS {
-            if let Some(chunk_rows) = chunk {
-                microkernel::gemm_f32_microkernel_parallel(a, b, c, k, n, chunk_rows);
-            } else {
-                crate::gemm_f32_microkernel(a, b, c, m, k, n);
-            }
-        } else if let Some(chunk_rows) = chunk {
-            fused_parallel(mul, a, b, c, k, n, chunk_rows);
+            Form::Packed { portable: false }
         } else {
-            fused_kernel(mul, a, b, c, m, k, n);
+            Form::Fused
         }
-        return;
-    }
-    // Panel pre-decode pays off through cross-row reuse of a cached
-    // decoded representation: a single C row consumes each decoded
-    // element exactly once, and a backend without a panel cache (raw
-    // fallback) gains nothing from the panel allocation + B copy — both
-    // take the fused path instead.
-    let use_prepared = m > 1 && mul.supports_prepared_panels();
-    if let Some(chunk_rows) = chunk {
-        if use_prepared {
-            prepared_parallel(mul, a, b, c, k, n, chunk_rows);
-        } else {
-            fused_parallel(mul, a, b, c, k, n, chunk_rows);
-        }
-    } else if use_prepared {
-        prepared_kernel(mul, a, b, c, k, n);
+    } else if m > 1 && mul.supports_prepared_panels() {
+        Form::Panels
     } else {
-        fused_kernel(mul, a, b, c, m, k, n);
-    }
+        // A single C row consumes each decoded element exactly once, and
+        // a backend without a panel cache gains nothing from the panel
+        // allocation + B copy: both stay fused.
+        Form::Fused
+    };
+    walk(mul, a, BSource::Raw(b, form), c, k, n, par_chunk_rows(m, k, n));
 }
 
-/// The serial lane-packed engine, regardless of problem size or thread
-/// gate: native-`f32` backends run the packed register-tile microkernel
-/// ([`gemm_f32_microkernel`](crate::gemm_f32_microkernel)), panel-caching
-/// backends the lane-packed prepared-panel kernel, and everything else
-/// the fused tiled kernel. Bit-identical to [`gemm_reference`]; exposed
-/// so the benches can time the serial microkernel layer in isolation —
-/// prefer [`gemm`] everywhere else.
+/// [`gemm`] with [`ExactMul`] forced onto the packed microkernel's
+/// **portable** lane kernel, ignoring runtime AVX2 detection. Exported
+/// so the differential suites (and CI's no-`simd` build) can assert the
+/// detected and portable register kernels are byte-identical; prefer
+/// [`gemm`] everywhere else.
 ///
 /// # Panics
 ///
 /// Panics if slice lengths do not match the shape.
-pub fn gemm_microkernel_serial(
-    mul: &dyn ScalarMul,
+pub fn gemm_f32_microkernel_portable(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -240,307 +237,252 @@ pub fn gemm_microkernel_serial(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    if mul.is_native_f32() {
-        crate::gemm_f32_microkernel(a, b, c, m, k, n);
-    } else if mul.supports_prepared_panels() && m > 1 {
-        prepared_kernel(mul, a, b, c, k, n);
-    } else {
-        fused_kernel(mul, a, b, c, m, k, n);
-    }
-}
-
-/// The PR-1 tiled kernel run serially on the full problem (per-call
-/// `mul_rows` batching, no panel pre-decode). Exposed for the criterion
-/// benches and the `BENCH_gemm.json` emitter so the pre-decode win is
-/// tracked separately from the tiling win; prefer [`gemm`] everywhere
-/// else.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape.
-pub fn gemm_tiled_serial(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    check_shapes(a, b, c, m, k, n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    fused_kernel(mul, a, b, c, m, k, n);
-}
-
-/// The prepared-panel tiled kernel run serially on the full problem,
-/// regardless of size or backend. Exposed so the single-core pre-decode
-/// speedup over [`gemm_tiled_serial`] is benchmarkable in isolation;
-/// prefer [`gemm`] everywhere else.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape.
-pub fn gemm_prepared_serial(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    check_shapes(a, b, c, m, k, n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    prepared_kernel(mul, a, b, c, k, n);
-}
-
-/// `KC × NC`-blocked kernel over `rows` C rows, one [`ScalarMul::mul_rows`]
-/// per (A-element, B-row-segment) pair — the fused path for native-`f32`
-/// backends (and the PR-1 baseline for all others).
-///
-/// Per output element, the `k` loop advances in ascending order across
-/// and within blocks — the bit-exactness invariant.
-fn fused_kernel(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    for j0 in (0..n).step_by(NC) {
-        let j1 = (j0 + NC).min(n);
-        for l0 in (0..k).step_by(KC) {
-            let l1 = (l0 + KC).min(k);
-            for r in 0..rows {
-                let arow = &a[r * k..(r + 1) * k];
-                let crow = &mut c[r * n + j0..r * n + j1];
-                for (l, &av) in arow.iter().enumerate().take(l1).skip(l0) {
-                    if av == 0.0 {
-                        continue; // zero bypass, as the hardware does
-                    }
-                    mul.mul_rows(av, &b[l * n + j0..l * n + j1], crow);
-                }
-            }
-        }
-    }
+    walk(&ExactMul, a, BSource::Raw(b, Form::Packed { portable: true }), c, k, n, None);
 }
 
 /// One `KC × NC` block of the B matrix: depth rows `[l0, l1)` crossed
 /// with columns `[j0, j1)`.
 #[derive(Debug, Clone, Copy)]
-struct Tile {
-    l0: usize,
-    l1: usize,
-    j0: usize,
-    j1: usize,
+pub(crate) struct Tile {
+    pub(crate) l0: usize,
+    pub(crate) l1: usize,
+    pub(crate) j0: usize,
+    pub(crate) j1: usize,
 }
 
-/// Decodes the B row-segments of `tile` into prepared panels, one per B
-/// row.
-fn prepare_block(mul: &dyn ScalarMul, b: &[f32], n: usize, tile: Tile) -> Vec<PreparedPanel> {
-    (tile.l0..tile.l1).map(|l| mul.prepare_panel(&b[l * n + tile.j0..l * n + tile.j1])).collect()
+/// The `tk × tn` tiles of a `k × n` B matrix in the walk order every
+/// engine shares: `j0` outer, `l0` inner — so each C element folds its
+/// tiles in ascending `k`.
+fn tiles(k: usize, n: usize, tk: usize, tn: usize) -> impl Iterator<Item = Tile> {
+    (0..n).step_by(tn).flat_map(move |j0| {
+        let j1 = (j0 + tn).min(n);
+        (0..k).step_by(tk).map(move |l0| Tile { l0, l1: (l0 + tk).min(k), j0, j1 })
+    })
 }
 
-/// Runs the MAC loops of one tile over the C rows in `c` against
-/// already-prepared B panels. `a` is the full `rows × k` A slab for
-/// these rows; `c` the full `rows × n` C slab (row count inferred).
-fn block_rows(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    panels: &[PreparedPanel],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    tile: Tile,
-) {
-    let rows = c.len() / n;
-    for r in 0..rows {
-        let arow = &a[r * k..(r + 1) * k];
-        let crow = &mut c[r * n + tile.j0..r * n + tile.j1];
-        for (dl, panel) in panels.iter().enumerate() {
-            let av = arow[tile.l0 + dl];
-            if av == 0.0 {
-                continue; // zero bypass, as the hardware does
+/// The operand form a tile of B is converted to — one per slab kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Form {
+    /// Raw row segments through [`ScalarMul::mul_rows`].
+    Fused,
+    /// Decoded [`PreparedPanel`]s through [`ScalarMul::mul_prepared`].
+    Panels,
+    /// `NR`-major packed panels through the register-tile microkernel;
+    /// `portable` forces the portable register kernel over the
+    /// runtime-detected one.
+    Packed { portable: bool },
+}
+
+/// One tile of B in its [`Form`]. The fused form carries no data: its
+/// kernel reads the raw matrix directly.
+#[derive(Debug, Clone)]
+enum TileB {
+    Fused,
+    Panels(Vec<PreparedPanel>),
+    Packed { data: Vec<f32>, portable: bool },
+}
+
+impl TileB {
+    /// Converts `tile` of the row-major `b` to `form`. `par` spreads the
+    /// panel decode across the pool, one block of B rows per work item
+    /// (panel order is positional, so scheduling cannot affect results).
+    fn convert(
+        mul: &dyn ScalarMul,
+        b: &[f32],
+        n: usize,
+        tile: Tile,
+        form: Form,
+        par: bool,
+    ) -> Self {
+        let row = |l: usize| &b[l * n + tile.j0..l * n + tile.j1];
+        match form {
+            Form::Fused => TileB::Fused,
+            Form::Panels if par => {
+                let mut panels: Vec<Option<PreparedPanel>> =
+                    (tile.l0..tile.l1).map(|_| None).collect();
+                panels.par_chunks_mut(8).enumerate().for_each(|(pi, slots)| {
+                    for (s, slot) in slots.iter_mut().enumerate() {
+                        *slot = Some(mul.prepare_panel(row(tile.l0 + pi * 8 + s)));
+                    }
+                });
+                TileB::Panels(panels.into_iter().map(|p| p.expect("panel decoded")).collect())
             }
-            mul.mul_prepared(av, panel, crow);
+            Form::Panels => {
+                TileB::Panels((tile.l0..tile.l1).map(|l| mul.prepare_panel(row(l))).collect())
+            }
+            Form::Packed { portable } => {
+                TileB::Packed { data: microkernel::pack_b(b, n, tile), portable }
+            }
         }
     }
-}
 
-/// Serial prepared-panel kernel: each `KC × NC` B block is decoded once
-/// and reused for every C row.
-fn prepared_kernel(mul: &dyn ScalarMul, a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
-    for j0 in (0..n).step_by(NC) {
-        let j1 = (j0 + NC).min(n);
-        for l0 in (0..k).step_by(KC) {
-            let tile = Tile { l0, l1: (l0 + KC).min(k), j0, j1 };
-            let panels = prepare_block(mul, b, n, tile);
-            block_rows(mul, a, &panels, c, k, n, tile);
-        }
-    }
-}
-
-/// Parallel fused path for native-`f32` backends: C row chunks are
-/// distributed over the pool, each running the `KC × NC` fused kernel on
-/// its slab. Chunks write disjoint C regions, so results never depend on
-/// scheduling.
-fn fused_parallel(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    chunk_rows: usize,
-) {
-    c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(panel, cpanel)| {
-        let i0 = panel * chunk_rows;
-        let rows = cpanel.len() / n;
-        fused_kernel(mul, &a[i0 * k..(i0 + rows) * k], b, cpanel, rows, k, n);
-    });
-}
-
-/// Parallel prepared-panel path: panel decode itself is parallelised
-/// (one block of B rows per work item), then the decoded panels are
-/// shared read-only across the C row chunks — B is decoded exactly once
-/// per GEMM, not once per thread.
-fn prepared_parallel(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    chunk_rows: usize,
-) {
-    for j0 in (0..n).step_by(NC) {
-        let j1 = (j0 + NC).min(n);
-        for l0 in (0..k).step_by(KC) {
-            let tile = Tile { l0, l1: (l0 + KC).min(k), j0, j1 };
-            // Decode this block's panels across the pool (panel order is
-            // positional, so scheduling cannot affect results).
-            let mut panels: Vec<Option<PreparedPanel>> = (tile.l0..tile.l1).map(|_| None).collect();
-            panels.par_chunks_mut(8).enumerate().for_each(|(pi, slots)| {
-                for (s, slot) in slots.iter_mut().enumerate() {
-                    let l = tile.l0 + pi * 8 + s;
-                    *slot = Some(mul.prepare_panel(&b[l * n + tile.j0..l * n + tile.j1]));
+    /// Runs this tile's MACs over the C rows in `c` (row count inferred)
+    /// with the matching kernel. `a` is the A slab for the same rows;
+    /// `raw` is the whole raw B, read only by the fused form.
+    #[allow(clippy::too_many_arguments)] // internal kernel seam: operands + shape + tile
+    fn mac_slab(
+        &self,
+        mul: &dyn ScalarMul,
+        a: &[f32],
+        raw: &[f32],
+        c: &mut [f32],
+        k: usize,
+        n: usize,
+        tile: Tile,
+    ) {
+        let rows = c.len() / n;
+        // Row `r`'s C columns and A depth segment in this tile.
+        let row =
+            |r: usize| (r * n + tile.j0..r * n + tile.j1, &a[r * k + tile.l0..r * k + tile.l1]);
+        match self {
+            TileB::Fused => {
+                for r in 0..rows {
+                    let (cols, arow) = row(r);
+                    let crow = &mut c[cols];
+                    for (l, &av) in (tile.l0..).zip(arow) {
+                        if av != 0.0 {
+                            // zero bypass, as the hardware does
+                            mul.mul_rows(av, &raw[l * n + tile.j0..l * n + tile.j1], crow);
+                        }
+                    }
                 }
-            });
-            let panels: Vec<PreparedPanel> =
-                panels.into_iter().map(|p| p.expect("panel decoded")).collect();
-            c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(panel_idx, cpanel)| {
-                let i0 = panel_idx * chunk_rows;
-                let rows = cpanel.len() / n;
-                block_rows(mul, &a[i0 * k..(i0 + rows) * k], &panels, cpanel, k, n, tile);
-            });
+            }
+            TileB::Panels(panels) => {
+                for r in 0..rows {
+                    let (cols, arow) = row(r);
+                    let crow = &mut c[cols];
+                    for (panel, &av) in panels.iter().zip(arow) {
+                        if av != 0.0 {
+                            mul.mul_prepared(av, panel, crow);
+                        }
+                    }
+                }
+            }
+            TileB::Packed { data, portable } => {
+                microkernel::mac_slab(a, data, c, k, n, tile, *portable)
+            }
         }
     }
 }
 
-// -------------------------------------------------------------------
-// Persistent prepared B — compiled inference sessions
-// -------------------------------------------------------------------
-
-/// A `KC × NC` tile of B with its row panels already decoded.
-#[derive(Debug, Clone)]
-struct PreparedTileB {
-    tile: Tile,
-    panels: Vec<PreparedPanel>,
+/// Where the walk takes each tile of B from.
+#[derive(Clone, Copy)]
+enum BSource<'a> {
+    /// The raw row-major matrix, each tile converted to the form just
+    /// before its MACs (eager [`gemm`]: one converted tile alive at a
+    /// time).
+    Raw(&'a [f32], Form),
+    /// A plan's tiles, converted once at build time.
+    Plan(&'a GemmPlan),
 }
 
-#[derive(Debug, Clone)]
-enum PreparedBVariant {
-    /// No cacheable representation for this backend: the raw values,
-    /// consumed by the fused kernels exactly as [`gemm`] would.
-    Fused { raw: Vec<f32> },
-    /// Panel-caching backends: decoded panels per `KC × NC` tile, in
-    /// the engine's walk order (`j0` outer, `l0` inner).
-    Panels { tiles: Vec<PreparedTileB> },
-    /// Native-`f32` backends: `NR`-major packed panels for the
-    /// register-tile microkernel.
-    Packed { blocks: Vec<microkernel::PackedBBlock> },
+/// The one float tile walk behind [`gemm`] and [`GemmPlan`]: per tile,
+/// get B's operand (convert it now or borrow it from the plan), then run
+/// the matching slab kernel serially or over `chunk_rows`-row C chunks.
+/// An eager conversion's panel decode is spread over the pool whenever
+/// the MACs are.
+fn walk(
+    mul: &dyn ScalarMul,
+    a: &[f32],
+    b: BSource<'_>,
+    c: &mut [f32],
+    k: usize,
+    n: usize,
+    chunk_rows: Option<usize>,
+) {
+    let raw = match b {
+        BSource::Raw(raw, _) => raw,
+        BSource::Plan(plan) => &plan.raw,
+    };
+    for (ti, tile) in tiles(k, n, KC, NC).enumerate() {
+        let converted;
+        let tb = match b {
+            BSource::Raw(_, form) => {
+                converted = TileB::convert(mul, raw, n, tile, form, chunk_rows.is_some());
+                &converted
+            }
+            BSource::Plan(plan) => &plan.tiles[ti],
+        };
+        for_each_slab(c, n, chunk_rows, |i0, cs| {
+            tb.mac_slab(mul, &a[i0 * k..], raw, cs, k, n, tile);
+        });
+    }
 }
 
-/// The per-tile prepared state of one B matrix for one backend — the
-/// operand-conversion work [`gemm`] redoes on **every** call, hoisted
-/// out so a weight-stationary caller (a compiled inference session
-/// serving many requests against fixed weights) pays it once per
-/// weight matrix instead of once per request.
+/// One B matrix converted once, tile by tile, for one backend — the
+/// per-tile operand conversion [`gemm`] redoes on **every** call,
+/// hoisted out so a weight-stationary caller (a compiled inference
+/// session serving many requests against fixed weights) pays it once
+/// per weight matrix instead of once per request.
 ///
-/// What is cached depends on the backend that prepares it:
+/// What a plan holds depends on the backend that builds it:
 ///
 /// * native-`f32` backends — `NR`-major packed panels for the
 ///   register-tile microkernel (B is packed zero times per GEMM);
 /// * panel-caching backends ([`ApproxFpMul`] on the fast formats,
 ///   [`QuantizedExactMul`]) — the decoded [`PreparedPanel`]s of every
 ///   `KC × NC` tile;
-/// * everything else — the raw values (the fused kernels re-derive
+/// * everything else — the raw values (the fused loop re-derives
 ///   operands per call, exactly as [`gemm`] does for those backends).
 ///
-/// [`gemm_with_prepared_b`] consumes it with **bit-identical** results
-/// to [`gemm`] on the same operands — *including* `m == 1`, which
-/// `gemm` itself keeps on the fused path (per-call pre-decode has no
-/// cross-row reuse to amortise there) but which a persistent panel
-/// serves from the cache: single-sample inference requests are exactly
-/// where the per-request B re-decode hurts most.
+/// [`run`](Self::run) is **bit-identical** to [`gemm`] on the same
+/// operands — *including* `m == 1`, which `gemm` itself keeps on the
+/// fused path but which a plan serves from its panels: single-sample
+/// inference requests are exactly where the per-request B re-decode
+/// hurts most.
+///
+/// [`ApproxFpMul`]: crate::ApproxFpMul
+/// [`QuantizedExactMul`]: crate::QuantizedExactMul
 ///
 /// # Examples
 ///
 /// ```
-/// use daism_core::{gemm, gemm_with_prepared_b, ApproxFpMul, MultiplierConfig, PreparedGemmB};
+/// use daism_core::{gemm, ApproxFpMul, GemmPlan, MultiplierConfig};
 /// use daism_num::FpFormat;
 ///
 /// let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
-/// let b = [0.5f32, 1.5, -2.0, 0.75]; // 2x2 weights, prepared once…
-/// let prepared = PreparedGemmB::new(&mul, &b, 2, 2);
+/// let b = [0.5f32, 1.5, -2.0, 0.75]; // 2x2 weights, planned once…
+/// let plan = GemmPlan::new(&mul, &b, 2, 2);
 /// let a = [1.0f32, -0.5]; // …served against many requests
 /// let mut fast = [0.0f32; 2];
-/// gemm_with_prepared_b(&mul, &a, &prepared, &mut fast, 1);
+/// plan.run(&mul, &a, &mut fast, 1);
 /// let mut eager = [0.0f32; 2];
 /// gemm(&mul, &a, &b, &mut eager, 1, 2, 2);
 /// assert_eq!(fast, eager); // bit-identical
 /// ```
 #[derive(Debug, Clone)]
-pub struct PreparedGemmB {
+pub struct GemmPlan {
     k: usize,
     n: usize,
-    variant: PreparedBVariant,
+    /// The raw matrix, kept only for the fused form (empty otherwise).
+    raw: Vec<f32>,
+    /// Every tile in walk order.
+    tiles: Vec<TileB>,
 }
 
-impl PreparedGemmB {
-    /// Prepares the `k × n` row-major matrix `b` for repeated
-    /// [`gemm_with_prepared_b`] calls through `mul`. Feeding the result
-    /// to a *different* backend stays correct (panel tiles fall back to
-    /// their raw values) — except that panels packed for a native-`f32`
-    /// backend are only accepted by native-`f32` backends.
+impl GemmPlan {
+    /// Converts the `k × n` row-major matrix `b` for repeated
+    /// [`run`](Self::run) calls through `mul`. Running the plan through
+    /// a *different* backend stays correct (panel tiles fall back to
+    /// their raw values) — except that a plan packed for a native-`f32`
+    /// backend is only accepted by native-`f32` backends.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != k * n`.
     pub fn new(mul: &dyn ScalarMul, b: &[f32], k: usize, n: usize) -> Self {
         assert_eq!(b.len(), k * n, "B has wrong length");
-        let variant = if mul.is_native_f32() {
-            PreparedBVariant::Packed { blocks: microkernel::pack_b_blocks(b, k, n) }
+        let form = if mul.is_native_f32() {
+            Form::Packed { portable: false }
         } else if mul.supports_prepared_panels() {
-            let mut tiles = Vec::new();
-            for j0 in (0..n).step_by(NC) {
-                let j1 = (j0 + NC).min(n);
-                for l0 in (0..k).step_by(KC) {
-                    let tile = Tile { l0, l1: (l0 + KC).min(k), j0, j1 };
-                    tiles.push(PreparedTileB { tile, panels: prepare_block(mul, b, n, tile) });
-                }
-            }
-            PreparedBVariant::Panels { tiles }
+            Form::Panels
         } else {
-            PreparedBVariant::Fused { raw: b.to_vec() }
+            Form::Fused
         };
-        PreparedGemmB { k, n, variant }
+        let raw = if form == Form::Fused { b.to_vec() } else { Vec::new() };
+        let tiles =
+            tiles(k, n, KC, NC).map(|t| TileB::convert(mul, b, n, t, form, false)).collect();
+        GemmPlan { k, n, raw, tiles }
     }
 
     /// Depth (rows of B / columns of A).
@@ -554,135 +496,66 @@ impl PreparedGemmB {
     pub fn n(&self) -> usize {
         self.n
     }
-}
 
-/// Serial prepared-tile kernel: [`block_rows`] over already-decoded
-/// tiles — [`prepared_kernel`] with the per-call decode deleted.
-fn prepared_tiles_kernel(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    tiles: &[PreparedTileB],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    for t in tiles {
-        block_rows(mul, a, &t.panels, c, k, n, t.tile);
+    /// `C[m×n] += A[m×k] · B[k×n]` against this plan — the serving-path
+    /// twin of [`gemm`]: same thread gate and row chunking, same kernels,
+    /// **bit-identical** results for every backend and shape including
+    /// `m == 1`, with every per-call B conversion (panel decode,
+    /// microkernel packing, quantization) already paid at
+    /// [`new`](Self::new) time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths do not match the shape, or if a plan
+    /// packed for a native-`f32` backend is run through a non-native
+    /// backend (the packed form drops the raw values, so there is no
+    /// correct fallback).
+    pub fn run(&self, mul: &dyn ScalarMul, a: &[f32], c: &mut [f32], m: usize) {
+        self.run_with(mul, a, c, m, par_chunk_rows(m, self.k, self.n));
     }
-}
 
-/// Parallel prepared-tile path: [`prepared_parallel`] with the decode
-/// step deleted — the persistent panels are shared read-only across the
-/// C row chunks.
-fn prepared_tiles_parallel(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    tiles: &[PreparedTileB],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    chunk_rows: usize,
-) {
-    for t in tiles {
-        c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(panel_idx, cpanel)| {
-            let i0 = panel_idx * chunk_rows;
-            let rows = cpanel.len() / n;
-            block_rows(mul, &a[i0 * k..(i0 + rows) * k], &t.panels, cpanel, k, n, t.tile);
-        });
+    /// [`run`](Self::run) with an explicit C row-chunk size, bypassing
+    /// the MAC/thread gate — `chunk_rows >= m` is the serial kernel the
+    /// benches time without pool noise, and smaller chunks let the
+    /// determinism tests exercise the chunk indexing on a single-core
+    /// host. Prefer `run` everywhere else.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`run`](Self::run), and panics if `chunk_rows`
+    /// is zero.
+    pub fn run_chunked(
+        &self,
+        mul: &dyn ScalarMul,
+        a: &[f32],
+        c: &mut [f32],
+        m: usize,
+        chunk_rows: usize,
+    ) {
+        assert!(chunk_rows > 0, "chunk_rows must be positive");
+        self.run_with(mul, a, c, m, Some(chunk_rows));
     }
-}
 
-/// `C[m×n] += A[m×k] · B[k×n]` against a [`PreparedGemmB`] — the
-/// serving-path twin of [`gemm`]: same dispatch (thread gate, row
-/// chunking), same kernels, **bit-identical** results for every backend
-/// and shape including `m == 1`, but with every per-call B conversion
-/// (panel decode, microkernel packing, quantization) already paid at
-/// [`PreparedGemmB::new`] time.
-///
-/// `k` and `n` come from the prepared matrix.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape, or if a panel packed
-/// for a native-`f32` backend is served through a non-native backend
-/// (the packed form drops the raw values, so there is no correct
-/// fallback).
-pub fn gemm_with_prepared_b(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &PreparedGemmB,
-    c: &mut [f32],
-    m: usize,
-) {
-    let (k, n) = (b.k, b.n);
-    assert_eq!(a.len(), m * k, "A has wrong length");
-    assert_eq!(c.len(), m * n, "C has wrong length");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let chunk = par_chunk_rows(m, k, n);
-    match &b.variant {
-        PreparedBVariant::Packed { blocks } => {
-            assert!(
-                mul.is_native_f32(),
-                "prepared B was packed for a native-f32 backend; {} cannot consume it",
-                mul.name()
-            );
-            if let Some(chunk_rows) = chunk {
-                microkernel::gemm_packed_parallel(a, blocks, c, k, n, chunk_rows);
-            } else {
-                microkernel::gemm_packed_serial(a, blocks, c, m, k, n);
-            }
+    fn run_with(
+        &self,
+        mul: &dyn ScalarMul,
+        a: &[f32],
+        c: &mut [f32],
+        m: usize,
+        chunk_rows: Option<usize>,
+    ) {
+        let (k, n) = (self.k, self.n);
+        assert_eq!(a.len(), m * k, "A has wrong length");
+        assert_eq!(c.len(), m * n, "C has wrong length");
+        if m == 0 || n == 0 || k == 0 {
+            return;
         }
-        PreparedBVariant::Panels { tiles } => {
-            if let Some(chunk_rows) = chunk {
-                prepared_tiles_parallel(mul, a, tiles, c, k, n, chunk_rows);
-            } else {
-                prepared_tiles_kernel(mul, a, tiles, c, k, n);
-            }
-        }
-        PreparedBVariant::Fused { raw } => {
-            if let Some(chunk_rows) = chunk {
-                fused_parallel(mul, a, raw, c, k, n, chunk_rows);
-            } else {
-                fused_kernel(mul, a, raw, c, m, k, n);
-            }
-        }
-    }
-}
-
-/// [`gemm_with_prepared_b`] forced serial, regardless of problem size
-/// or thread count — the seam the serve benchmarks time so the
-/// no-re-decode win is measurable without pool noise. Prefer
-/// [`gemm_with_prepared_b`] everywhere else.
-///
-/// # Panics
-///
-/// Same contract as [`gemm_with_prepared_b`].
-pub fn gemm_with_prepared_b_serial(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &PreparedGemmB,
-    c: &mut [f32],
-    m: usize,
-) {
-    let (k, n) = (b.k, b.n);
-    assert_eq!(a.len(), m * k, "A has wrong length");
-    assert_eq!(c.len(), m * n, "C has wrong length");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    match &b.variant {
-        PreparedBVariant::Packed { blocks } => {
-            assert!(
-                mul.is_native_f32(),
-                "prepared B was packed for a native-f32 backend; {} cannot consume it",
-                mul.name()
-            );
-            microkernel::gemm_packed_serial(a, blocks, c, m, k, n);
-        }
-        PreparedBVariant::Panels { tiles } => prepared_tiles_kernel(mul, a, tiles, c, k, n),
-        PreparedBVariant::Fused { raw } => fused_kernel(mul, a, raw, c, m, k, n),
+        assert!(
+            mul.is_native_f32() || !matches!(self.tiles[0], TileB::Packed { .. }),
+            "plan was packed for a native-f32 backend; {} cannot consume it",
+            mul.name()
+        );
+        walk(mul, a, BSource::Plan(self), c, k, n, chunk_rows);
     }
 }
 
@@ -971,9 +844,8 @@ impl BlockFpGemm {
     /// Runs one tile's integer MAC loops over the C rows in `c` (a
     /// `rows × n` slab starting at global row `i0`). `a_blocks` is the
     /// whole matrix's per-(row, k-tile) quantization, `nkb` the number of
-    /// k-tiles per row; `accs` is the caller's `i64` accumulator scratch
-    /// (at least the tile width long).
-    #[allow(clippy::too_many_arguments)] // internal kernel seam, mirrors block_rows
+    /// k-tiles per row.
+    #[allow(clippy::too_many_arguments)] // internal kernel seam: operands + shape + tile
     fn mac_rows(
         &self,
         a_blocks: &[BlockFp],
@@ -983,7 +855,6 @@ impl BlockFpGemm {
         c: &mut [f32],
         n: usize,
         tile: Tile,
-        accs: &mut [i64],
     ) {
         let rows = c.len() / n;
         let tw = tile.j1 - tile.j0;
@@ -991,9 +862,9 @@ impl BlockFpGemm {
         let shift = self.shift_back();
         let exp_b = b_tile.shared_exp();
         let mb = b_tile.mantissas();
+        let mut accs = vec![0i64; tw];
         for r in 0..rows {
             let ablock = &a_blocks[(i0 + r) * nkb + lb];
-            let accs = &mut accs[..tw];
             accs.fill(0);
             for (dl, &x) in ablock.mantissas().iter().enumerate() {
                 if x == 0 {
@@ -1001,7 +872,7 @@ impl BlockFpGemm {
                 }
                 let sx = (x >> 31) as i64; // 0 or -1: branchless sign
                 let prep = self.mult.prepare(x.unsigned_abs() as u64);
-                lane_mac(&self.mult, &prep, &mb[dl * tw..(dl + 1) * tw], sx, shift, accs);
+                lane_mac(&self.mult, &prep, &mb[dl * tw..(dl + 1) * tw], sx, shift, &mut accs);
             }
             let scale = self.tile_scale(ablock.shared_exp(), exp_b);
             let crow = &mut c[r * n + tile.j0..r * n + tile.j1];
@@ -1013,14 +884,6 @@ impl BlockFpGemm {
         }
     }
 
-    /// The `execute` thread gate as a chunk size — the module-level
-    /// [`par_chunk_rows`] gate shared with the float engine, so every
-    /// entry point (raw, prepared-A, prepared-B, float, prepared-float)
-    /// dispatches identically.
-    fn par_chunk_rows(&self, m: usize, k: usize, n: usize) -> Option<usize> {
-        par_chunk_rows(m, k, n)
-    }
-
     /// The one tile walk behind every entry point: `j0` outer, `l0`
     /// inner, each tile's B block either quantized on the fly
     /// ([`BTiles::Raw`]) or read from a prepared set
@@ -1028,7 +891,6 @@ impl BlockFpGemm {
     /// `chunk_rows`-row C chunks. Byte-identical either way — each
     /// element's tile contributions are exact integers folded in
     /// ascending-`k` order.
-    #[allow(clippy::too_many_arguments)] // internal seam shared by 4 entry points
     fn run(
         &self,
         a_blocks: &[BlockFp],
@@ -1040,31 +902,18 @@ impl BlockFpGemm {
     ) {
         let nkb = k.div_ceil(self.tile_k);
         let mut buf = Vec::new();
-        let mut accs = vec![0i64; self.tile_n.min(n)];
-        let mut ti = 0usize;
-        for j0 in (0..n).step_by(self.tile_n) {
-            let j1 = (j0 + self.tile_n).min(n);
-            for l0 in (0..k).step_by(self.tile_k) {
-                let tile = Tile { l0, l1: (l0 + self.tile_k).min(k), j0, j1 };
-                let owned;
-                let b_tile = match b {
-                    BTiles::Raw(raw) => {
-                        owned = self.gather_tile(raw, n, tile, &mut buf);
-                        &owned
-                    }
-                    BTiles::Prepared(tiles) => {
-                        ti += 1;
-                        &tiles[ti - 1]
-                    }
-                };
-                match chunk_rows {
-                    None => self.mac_rows(a_blocks, nkb, 0, b_tile, c, n, tile, &mut accs),
-                    Some(cr) => c.par_chunks_mut(cr * n).enumerate().for_each(|(ci, cpanel)| {
-                        let mut accs = vec![0i64; tile.j1 - tile.j0];
-                        self.mac_rows(a_blocks, nkb, ci * cr, b_tile, cpanel, n, tile, &mut accs);
-                    }),
+        for (ti, tile) in tiles(k, n, self.tile_k, self.tile_n).enumerate() {
+            let owned;
+            let b_tile = match b {
+                BTiles::Raw(raw) => {
+                    owned = self.gather_tile(raw, n, tile, &mut buf);
+                    &owned
                 }
-            }
+                BTiles::Prepared(tiles) => &tiles[ti],
+            };
+            for_each_slab(c, n, chunk_rows, |i0, cs| {
+                self.mac_rows(a_blocks, nkb, i0, b_tile, cs, n, tile);
+            });
         }
     }
 
@@ -1083,7 +932,7 @@ impl BlockFpGemm {
             return;
         }
         let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
-        self.run(&a_blocks, BTiles::Raw(b), c, k, n, self.par_chunk_rows(m, k, n));
+        self.run(&a_blocks, BTiles::Raw(b), c, k, n, par_chunk_rows(m, k, n));
     }
 
     /// The parallel kernel with an explicit C row-chunk size, bypassing
@@ -1150,15 +999,10 @@ impl BlockFpGemm {
     /// Panics if `b.len() != k * n`.
     pub fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> BlockFpPreparedB {
         assert_eq!(b.len(), k * n, "B has wrong length");
-        let mut tiles = Vec::new();
         let mut buf = Vec::new();
-        for j0 in (0..n).step_by(self.tile_n) {
-            let j1 = (j0 + self.tile_n).min(n);
-            for l0 in (0..k).step_by(self.tile_k) {
-                let tile = Tile { l0, l1: (l0 + self.tile_k).min(k), j0, j1 };
-                tiles.push(self.gather_tile(b, n, tile, &mut buf));
-            }
-        }
+        let tiles = tiles(k, n, self.tile_k, self.tile_n)
+            .map(|tile| self.gather_tile(b, n, tile, &mut buf))
+            .collect();
         BlockFpPreparedB {
             tiles,
             k,
@@ -1197,7 +1041,7 @@ impl BlockFpGemm {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        self.run(&ap.blocks, BTiles::Raw(b), c, k, n, self.par_chunk_rows(m, k, n));
+        self.run(&ap.blocks, BTiles::Raw(b), c, k, n, par_chunk_rows(m, k, n));
     }
 
     /// [`execute`](Self::execute) with the B-side quantization already
@@ -1229,7 +1073,7 @@ impl BlockFpGemm {
             return;
         }
         let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
-        self.run(&a_blocks, BTiles::Prepared(&bp.tiles), c, k, n, self.par_chunk_rows(m, k, n));
+        self.run(&a_blocks, BTiles::Prepared(&bp.tiles), c, k, n, par_chunk_rows(m, k, n));
     }
 
     /// The scalar semantic anchor: same per-`(row, k-tile)` /
@@ -1366,30 +1210,36 @@ mod tests {
             .collect()
     }
 
+    /// Every operand form `mul` can consume: packed tiles drop the raw
+    /// values, so only native-`f32` backends take them.
+    fn forms(mul: &dyn ScalarMul) -> Vec<Form> {
+        let mut forms = vec![Form::Fused, Form::Panels];
+        if mul.is_native_f32() {
+            forms.extend([Form::Packed { portable: false }, Form::Packed { portable: true }]);
+        }
+        forms
+    }
+
+    fn assert_bits_eq(reference: &[f32], got: &[f32], what: &str) {
+        for (i, (r, g)) in reference.iter().zip(got).enumerate() {
+            assert_eq!(r.to_bits(), g.to_bits(), "{what} element {i}: {r} vs {g}");
+        }
+    }
+
+    /// `gemm` and the eager walk in every form, serial, against the
+    /// scalar reference.
     fn assert_bit_identical(mul: &dyn ScalarMul, m: usize, k: usize, n: usize) {
         let a = test_matrix(m * k, 1);
         let b = test_matrix(k * n, 2);
         let mut reference = vec![0.0f32; m * n];
-        let mut engine = vec![0.0f32; m * n];
         gemm_reference(mul, &a, &b, &mut reference, m, k, n);
+        let mut engine = vec![0.0f32; m * n];
         gemm(mul, &a, &b, &mut engine, m, k, n);
-        for (i, (r, t)) in reference.iter().zip(&engine).enumerate() {
-            assert_eq!(
-                r.to_bits(),
-                t.to_bits(),
-                "{}: {m}x{k}x{n} element {i}: {r} vs {t}",
-                mul.name()
-            );
-        }
-        let mut serial = vec![0.0f32; m * n];
-        gemm_tiled_serial(mul, &a, &b, &mut serial, m, k, n);
-        for (r, s) in reference.iter().zip(&serial) {
-            assert_eq!(r.to_bits(), s.to_bits(), "serial tiled diverged");
-        }
-        let mut prepared = vec![0.0f32; m * n];
-        gemm_prepared_serial(mul, &a, &b, &mut prepared, m, k, n);
-        for (r, s) in reference.iter().zip(&prepared) {
-            assert_eq!(r.to_bits(), s.to_bits(), "serial prepared diverged");
+        assert_bits_eq(&reference, &engine, &format!("{}: gemm {m}x{k}x{n}", mul.name()));
+        for form in forms(mul) {
+            let mut serial = vec![0.0f32; m * n];
+            walk(mul, &a, BSource::Raw(&b, form), &mut serial, k, n, None);
+            assert_bits_eq(&reference, &serial, &format!("{}: {form:?} {m}x{k}x{n}", mul.name()));
         }
     }
 
@@ -1400,6 +1250,46 @@ mod tests {
             assert_bit_identical(&ExactMul, m, k, n);
             assert_bit_identical(&QuantizedExactMul::new(FpFormat::BF16), m, k, n);
             assert_bit_identical(&pc3, m, k, n);
+        }
+    }
+
+    #[test]
+    fn exact_gemm_matches_manual() {
+        let a = [1.0, 0.0, 2.0, -1.0, 3.0, 1.0]; // 2x3
+        let b = [2.0, 1.0, 0.0, -1.0, 1.0, 2.0]; // 3x2
+        let mut c = [0.0f32; 4];
+        gemm(&ExactMul, &a, &b, &mut c, 2, 3, 2);
+        // Row 0: [1,0,2]·cols -> (2+0+2, 1+0+4); row 1: [-1,3,1] ->
+        // (-2+0+1, -1-3+2).
+        assert_eq!(c, [4.0, 5.0, -1.0, -2.0]);
+    }
+
+    #[test]
+    fn fast_path_equals_slow_path_for_exact() {
+        // The native-f32 fast path must produce bit-identical results to
+        // routing ExactMul through the dispatched loop. QuantizedExactMul
+        // at FP32 is semantically f32-exact but takes the slow path.
+        let a: Vec<f32> = (0..12).map(|i| (i as f32 - 5.0) / 3.0).collect();
+        let b: Vec<f32> = (0..20).map(|i| (i as f32 + 1.0) / 7.0).collect();
+        let mut fast = vec![0.0f32; 15];
+        let mut slow = vec![0.0f32; 15];
+        gemm(&ExactMul, &a, &b, &mut fast, 3, 4, 5);
+        gemm(&QuantizedExactMul::new(FpFormat::FP32), &a, &b, &mut slow, 3, 4, 5);
+        assert_bits_eq(&fast, &slow, "ExactMul vs QuantizedExactMul(FP32)");
+    }
+
+    #[test]
+    fn approx_gemm_underestimates() {
+        let mul = ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::BF16);
+        let a = vec![1.3f32; 16];
+        let b = vec![1.7f32; 16];
+        let mut approx = vec![0.0f32; 16];
+        let mut exact = vec![0.0f32; 16];
+        gemm(&mul, &a, &b, &mut approx, 4, 4, 4);
+        gemm(&ExactMul, &a, &b, &mut exact, 4, 4, 4);
+        for (ap, ex) in approx.iter().zip(&exact) {
+            assert!(ap <= ex);
+            assert!(*ap > 0.5 * ex);
         }
     }
 
@@ -1440,10 +1330,10 @@ mod tests {
     #[test]
     fn parallel_path_engages_above_gate() {
         // 64x32x32 = 65536 MACs clears PAR_MIN_MACS with m > 1: the
-        // prepared-parallel path (approx) and fused-parallel path (exact)
-        // both run — when `current_num_threads() > 1`; on a 1-core host
-        // `gemm` routes to the serial kernels instead, and the direct
-        // kernel test below keeps the parallel code covered regardless.
+        // chunked walk runs with panels (approx) and packed tiles
+        // (exact) — when `current_num_threads() > 1`; on a 1-core host
+        // `gemm` stays serial, and the direct chunked test below keeps
+        // the chunk indexing covered regardless.
         let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         assert_bit_identical(&mul, 64, 32, 32);
         assert_bit_identical(&ExactMul, 64, 32, 32);
@@ -1453,86 +1343,64 @@ mod tests {
 
     #[test]
     fn parallel_kernels_bit_match_reference_even_single_core() {
-        // Drive the parallel kernels directly, below `gemm`'s thread
-        // gate: on a 1-core host `run_batch` degrades to an inline loop,
-        // but the chunk indexing under test still executes, so a slab
-        // slicing bug cannot hide behind the gate.
+        // Drive the chunked walk directly, below `gemm`'s thread gate,
+        // from both B sources: on a 1-core host `run_batch` degrades to
+        // an inline loop, but the chunk indexing under test still
+        // executes, so a slab slicing bug cannot hide behind the gate.
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let muls: [&dyn ScalarMul; 2] = [&pc3, &ExactMul];
-        for &(m, k, n) in &[(5, 9, 11), (64, 32, 32), (37, 24, 40)] {
+        for &(m, k, n) in &[(5, 9, 11), (64, 32, 32), (37, 24, 40), (3, KC + 5, 7)] {
             let a = test_matrix(m * k, 1);
             let b = test_matrix(k * n, 2);
             for mul in muls {
                 let mut reference = vec![0.0f32; m * n];
                 gemm_reference(mul, &a, &b, &mut reference, m, k, n);
+                let plan = GemmPlan::new(mul, &b, k, n);
                 // Chunk sizes that divide m, don't divide m, and exceed it.
                 for chunk_rows in [1, 3, MC, m + 1] {
-                    let mut prepared = vec![0.0f32; m * n];
-                    prepared_parallel(mul, &a, &b, &mut prepared, k, n, chunk_rows);
-                    let mut fused = vec![0.0f32; m * n];
-                    fused_parallel(mul, &a, &b, &mut fused, k, n, chunk_rows);
-                    for (i, r) in reference.iter().enumerate() {
-                        assert_eq!(
-                            r.to_bits(),
-                            prepared[i].to_bits(),
-                            "{}: prepared_parallel {m}x{k}x{n} chunk {chunk_rows} elem {i}",
-                            mul.name()
-                        );
-                        assert_eq!(
-                            r.to_bits(),
-                            fused[i].to_bits(),
-                            "{}: fused_parallel {m}x{k}x{n} chunk {chunk_rows} elem {i}",
-                            mul.name()
-                        );
+                    let what = format!("{}: {m}x{k}x{n} chunk {chunk_rows}", mul.name());
+                    for form in forms(mul) {
+                        let mut eager = vec![0.0f32; m * n];
+                        walk(mul, &a, BSource::Raw(&b, form), &mut eager, k, n, Some(chunk_rows));
+                        assert_bits_eq(&reference, &eager, &format!("{what} eager {form:?}"));
                     }
+                    let mut planned = vec![0.0f32; m * n];
+                    plan.run_chunked(mul, &a, &mut planned, m, chunk_rows);
+                    assert_bits_eq(&reference, &planned, &format!("{what} plan"));
                 }
             }
         }
     }
 
     // ---------------------------------------------------------------
-    // PreparedGemmB / gemm_with_prepared_b
+    // GemmPlan
     // ---------------------------------------------------------------
 
     fn assert_prepared_b_matches_gemm(mul: &dyn ScalarMul, m: usize, k: usize, n: usize) {
         let a = test_matrix(m * k, 5);
         let b = test_matrix(k * n, 6);
-        let prepared = PreparedGemmB::new(mul, &b, k, n);
-        assert_eq!(prepared.k(), k);
-        assert_eq!(prepared.n(), n);
+        let plan = GemmPlan::new(mul, &b, k, n);
+        assert_eq!((plan.k(), plan.n()), (k, n));
         let mut eager = vec![0.0f32; m * n];
         gemm(mul, &a, &b, &mut eager, m, k, n);
         let mut served = vec![0.0f32; m * n];
-        gemm_with_prepared_b(mul, &a, &prepared, &mut served, m);
+        plan.run(mul, &a, &mut served, m);
         let mut serial = vec![0.0f32; m * n];
-        gemm_with_prepared_b_serial(mul, &a, &prepared, &mut serial, m);
-        for (i, r) in eager.iter().enumerate() {
-            assert_eq!(
-                r.to_bits(),
-                served[i].to_bits(),
-                "{}: {m}x{k}x{n} elem {i}: eager {r} vs prepared {}",
-                mul.name(),
-                served[i]
-            );
-            assert_eq!(
-                r.to_bits(),
-                serial[i].to_bits(),
-                "{}: {m}x{k}x{n} elem {i}: eager {r} vs prepared-serial {}",
-                mul.name(),
-                serial[i]
-            );
-        }
+        plan.run_chunked(mul, &a, &mut serial, m, m.max(1));
+        let what = format!("{}: {m}x{k}x{n}", mul.name());
+        assert_bits_eq(&eager, &served, &format!("{what} plan"));
+        assert_bits_eq(&eager, &serial, &format!("{what} plan-serial"));
     }
 
     #[test]
     fn prepared_b_bit_matches_gemm_for_every_backend_class() {
-        // One backend per PreparedGemmB variant: Packed (native f32),
-        // Panels (panel cache), Fused (raw fallback — an exotic format
-        // ApproxFpMul keeps the FpScalar path).
+        // One backend per plan form: packed (native f32), panels (panel
+        // cache), fused (raw fallback — an exotic format ApproxFpMul
+        // keeps on the FpScalar path).
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let quant = QuantizedExactMul::new(FpFormat::BF16);
         // e11m9: exponent range beyond f32's, so the fast-f32 panel
-        // cache is off and PreparedGemmB keeps the raw fused fallback.
+        // cache is off and the plan keeps the raw fused fallback.
         let exotic = ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::new(11, 9).unwrap());
         let muls: [&dyn ScalarMul; 4] = [&ExactMul, &pc3, &quant, &exotic];
         for mul in muls {
@@ -1544,9 +1412,9 @@ mod tests {
 
     #[test]
     fn prepared_b_serves_the_m_equals_1_case() {
-        // Regression for the m > 1 prepared gate in `gemm`: a persistent
-        // panel must serve single-sample requests bit-identically to the
-        // eager engine (which routes m == 1 to the fused path).
+        // Regression for the m > 1 panel gate in `gemm`: a plan must
+        // serve single-sample requests bit-identically to the eager
+        // engine (which routes m == 1 to the fused path).
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let quant = QuantizedExactMul::new(FpFormat::BF16);
         let muls: [&dyn ScalarMul; 3] = [&ExactMul, &pc3, &quant];
@@ -1568,59 +1436,55 @@ mod tests {
     #[test]
     fn prepared_b_degenerate_shapes_are_noops() {
         let mut c = [7.0f32];
-        let empty = PreparedGemmB::new(&ExactMul, &[], 0, 1);
-        gemm_with_prepared_b(&ExactMul, &[], &empty, &mut c, 1);
-        gemm_with_prepared_b_serial(&ExactMul, &[], &empty, &mut c, 1);
+        let empty = GemmPlan::new(&ExactMul, &[], 0, 1);
+        empty.run(&ExactMul, &[], &mut c, 1);
+        empty.run_chunked(&ExactMul, &[], &mut c, 1, 1);
         assert_eq!(c[0], 7.0);
     }
 
     #[test]
     fn prepared_b_panels_are_reusable_across_calls() {
-        // The whole point: one prepare, many requests — later requests
+        // The whole point: one plan, many requests — later requests
         // must not observe state left by earlier ones.
         let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let (k, n) = (24usize, 40usize);
         let b = test_matrix(k * n, 8);
-        let prepared = PreparedGemmB::new(&mul, &b, k, n);
+        let plan = GemmPlan::new(&mul, &b, k, n);
         for seed in 0..4 {
             let a = test_matrix(k, 100 + seed);
             let mut eager = vec![0.0f32; n];
             gemm(&mul, &a, &b, &mut eager, 1, k, n);
             let mut served = vec![0.0f32; n];
-            gemm_with_prepared_b(&mul, &a, &prepared, &mut served, 1);
-            for (r, s) in eager.iter().zip(&served) {
-                assert_eq!(r.to_bits(), s.to_bits(), "request {seed} diverged");
-            }
+            plan.run(&mul, &a, &mut served, 1);
+            assert_bits_eq(&eager, &served, &format!("request {seed}"));
         }
     }
 
     #[test]
     fn foreign_panel_prepared_b_falls_back_correctly() {
-        // Panels prepared by one panel-caching backend served through
+        // Panels planned by one panel-caching backend and run through
         // another must match the consumer's own eager semantics.
         let preparer = QuantizedExactMul::new(FpFormat::BF16);
         let consumer = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let (m, k, n) = (3usize, 5, 7);
         let a = test_matrix(m * k, 1);
         let b = test_matrix(k * n, 2);
-        let prepared = PreparedGemmB::new(&preparer, &b, k, n);
+        let plan = GemmPlan::new(&preparer, &b, k, n);
         let mut eager = vec![0.0f32; m * n];
         gemm(&consumer, &a, &b, &mut eager, m, k, n);
         let mut served = vec![0.0f32; m * n];
-        gemm_with_prepared_b(&consumer, &a, &prepared, &mut served, m);
-        for (r, s) in eager.iter().zip(&served) {
-            assert_eq!(r.to_bits(), s.to_bits(), "foreign panel diverged");
-        }
+        plan.run(&consumer, &a, &mut served, m);
+        assert_bits_eq(&eager, &served, "foreign panel");
     }
 
     #[test]
     #[should_panic(expected = "native-f32")]
     fn packed_prepared_b_rejects_non_native_consumer() {
         let b = test_matrix(4, 2);
-        let prepared = PreparedGemmB::new(&ExactMul, &b, 2, 2);
+        let plan = GemmPlan::new(&ExactMul, &b, 2, 2);
         let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let mut c = [0.0f32; 2];
-        gemm_with_prepared_b(&mul, &[1.0, 2.0], &prepared, &mut c, 1);
+        plan.run(&mul, &[1.0, 2.0], &mut c, 1);
     }
 
     // ---------------------------------------------------------------
@@ -1645,18 +1509,31 @@ mod tests {
 
     #[test]
     fn blockfp_close_to_exact_at_high_width() {
-        let engine = BlockFpGemm::new(MultiplierConfig::PC3, 16);
         let (m, k, n) = (4usize, 6, 5);
         let a = test_matrix(m * k, 3);
         let b = test_matrix(k * n, 4);
         let mut exact = vec![0.0f32; m * n];
         gemm(&ExactMul, &a, &b, &mut exact, m, k, n);
-        let mut bfp = vec![0.0f32; m * n];
-        engine.execute(&a, &b, &mut bfp, m, k, n);
         let scale: f32 = exact.iter().map(|v| v.abs()).fold(0.0, f32::max);
-        for (e, c) in exact.iter().zip(&bfp) {
-            assert!((e - c).abs() < 0.12 * scale + 0.02, "{e} vs {c}");
+        let run = |config, width| {
+            let mut bfp = vec![0.0f32; m * n];
+            BlockFpGemm::new(config, width).execute(&a, &b, &mut bfp, m, k, n);
+            bfp
+        };
+        // Truncated configs rescale their top-column read-out back to
+        // full-product scale, so they stay as close.
+        for (config, tol) in [(MultiplierConfig::PC3, 0.12), (MultiplierConfig::PC3_TR, 0.15)] {
+            for (e, c) in exact.iter().zip(&run(config, 16)) {
+                assert!((e - c).abs() < tol * scale + 0.02, "{config}: {e} vs {c}");
+            }
         }
+        // Table I's error ladder survives block quantization: PC3's
+        // pre-summed lines beat plain FLA.
+        let err = |config| -> f64 {
+            exact.iter().zip(&run(config, 12)).map(|(e, v)| (e - v).abs() as f64).sum()
+        };
+        let (fla, pc3) = (err(MultiplierConfig::FLA), err(MultiplierConfig::PC3));
+        assert!(pc3 < fla, "PC3 {pc3} !< FLA {fla}");
     }
 
     #[test]

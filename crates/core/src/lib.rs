@@ -40,6 +40,11 @@
 //! * [`ApproxFpMul`] / [`ScalarMul`] — the full floating-point multiply
 //!   pipeline (sign, exponent, zero bypass, normalisation) around any
 //!   mantissa multiplier, for `float32`, `bfloat16` or custom formats;
+//! * [`gemm`] / [`GemmPlan`] — the float GEMM engine: one tile walk
+//!   over `KC × NC` tiles of B, each converted just before its MACs
+//!   ([`gemm`]) or once up front and reused across calls
+//!   ([`GemmPlan::run`], [`GemmPlan::run_chunked`]), serial or over C
+//!   row chunks — bit-identical to the scalar [`gemm_reference`];
 //! * [`BlockFpGemm`] — the tiled block-floating-point GEMM engine: one
 //!   shared exponent per tile, integer-mode OR-approximate mantissa
 //!   products, exact `i64` tile accumulation (the accelerator's §IV-B
@@ -83,11 +88,9 @@ pub use config::{MultiplierConfig, MultiplierKind, OperandMode};
 pub use error::CoreError;
 pub use fp::{ApproxFpMul, ExactMul, PreparedPanel, QuantizedExactMul, ScalarMul};
 pub use gemm::{
-    gemm, gemm_microkernel_serial, gemm_prepared_serial, gemm_reference, gemm_tiled_serial,
-    gemm_with_prepared_b, gemm_with_prepared_b_serial, BlockFpGemm, BlockFpPreparedA,
-    BlockFpPreparedB, PreparedGemmB,
+    gemm, gemm_f32_microkernel_portable, gemm_reference, BlockFpGemm, BlockFpPreparedA,
+    BlockFpPreparedB, GemmPlan,
 };
 pub use lines::{LineLayout, LineSpec};
 pub use mantissa::{exact_mul, MantissaMultiplier, PreparedMultiplicand};
-pub use microkernel::{gemm_f32_microkernel, gemm_f32_microkernel_portable};
 pub use sram_backed::SramMultiplier;

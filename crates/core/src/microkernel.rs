@@ -1,15 +1,15 @@
 //! BLIS-style packed microkernel for the exact native-`f32` backend.
 //!
-//! The fused [`mul_rows`](crate::ScalarMul::mul_rows) loop the engine
-//! used through PR 3 is memory-bound: every (A-element, B-row) pair
-//! re-reads and re-writes a whole C row, so the compiler's
-//! autovectorized multiply–add never gets past ~40% of machine peak and
-//! the tiled variants measured *slower* than the naive reference.
-//! This module restructures the exact kernel the way BLIS does:
+//! The fused [`mul_rows`](crate::ScalarMul::mul_rows) loop is
+//! memory-bound: every (A-element, B-row) pair re-reads and re-writes a
+//! whole C row, so the compiler's autovectorized multiply–add never gets
+//! past ~40% of machine peak and the tiled fused loop measured *slower*
+//! than the naive reference. This module restructures the exact kernel
+//! the way BLIS does:
 //!
-//! 1. **Packing** — each `KC × NC` block of B is copied once into
-//!    `NR`-major panels and each `MC × KC` block of A into `MR`-major
-//!    panels, so the register kernel streams both operands
+//! 1. **Packing** — each `KC × NC` tile of B is copied once into
+//!    `NR`-major panels ([`pack_b`]) and each `MC × KC` block of A into
+//!    `MR`-major panels, so the register kernel streams both operands
 //!    contiguously;
 //! 2. **Register tiling** — an `MR × NR` tile of C is held in
 //!    registers across the whole `KC` depth, cutting C traffic by
@@ -19,6 +19,10 @@
 //!    `core::arch::x86_64` AVX2 kernel (feature `simd`, on by default)
 //!    is selected by **runtime** feature detection and processes the
 //!    same lanes at 256-bit width.
+//!
+//! The tile walk, row chunking and plan storage live in the engine
+//! (`gemm.rs`); this module only packs a tile and runs it against one C
+//! slab ([`mac_slab`]).
 //!
 //! # Bit-exactness
 //!
@@ -37,16 +41,14 @@
 //!
 //! [`gemm_reference`]: crate::gemm_reference
 
+use crate::gemm::Tile;
+
 /// Register-tile rows: C rows held live per microkernel call.
 const MR: usize = 4;
 /// Register-tile columns: two 8-wide lanes.
 const NR: usize = 16;
 /// Rows of A packed (and C computed) per inner block.
 const MC: usize = 64;
-/// Depth block: packed A/B columns resident per pass.
-const KC: usize = 256;
-/// Column block: packed B width per pass.
-const NC: usize = 1024;
 
 /// Returns `true` when the runtime-detected AVX2 register kernel is
 /// compiled in *and* the host supports it.
@@ -169,17 +171,16 @@ fn kernel_fringe(
     }
 }
 
-/// Packs the `kc`-deep, `jw`-wide block of B at `(l0, j0)` into
-/// `NR`-major panels: full panels at stride `NR`, one trailing fringe
-/// panel at its true width.
-fn pack_b(b: &[f32], n: usize, l0: usize, kc: usize, j0: usize, jw: usize, bpack: &mut Vec<f32>) {
-    bpack.clear();
-    bpack.resize(kc * jw, 0.0);
+/// Packs the `tile` block of B into `NR`-major panels: full panels at
+/// stride `NR`, one trailing fringe panel at its true width.
+pub(crate) fn pack_b(b: &[f32], n: usize, tile: Tile) -> Vec<f32> {
+    let (kc, jw) = (tile.l1 - tile.l0, tile.j1 - tile.j0);
+    let mut bpack = vec![0.0; kc * jw];
     let full = jw / NR;
     for jb in 0..full {
         let dst = &mut bpack[jb * kc * NR..(jb + 1) * kc * NR];
         for l in 0..kc {
-            let src = j0 + jb * NR + (l0 + l) * n;
+            let src = tile.j0 + jb * NR + (tile.l0 + l) * n;
             dst[l * NR..(l + 1) * NR].copy_from_slice(&b[src..src + NR]);
         }
     }
@@ -187,10 +188,11 @@ fn pack_b(b: &[f32], n: usize, l0: usize, kc: usize, j0: usize, jw: usize, bpack
     if nr > 0 {
         let dst = &mut bpack[full * kc * NR..];
         for l in 0..kc {
-            let src = j0 + full * NR + (l0 + l) * n;
+            let src = tile.j0 + full * NR + (tile.l0 + l) * n;
             dst[l * nr..(l + 1) * nr].copy_from_slice(&b[src..src + nr]);
         }
     }
+    bpack
 }
 
 /// Packs the `mh`-tall, `kc`-deep block of A at `(i0, l0)` into
@@ -273,198 +275,35 @@ fn block_packed(
     }
 }
 
-/// One `KC × NC` block of B packed into `NR`-major panels, with the
-/// geometry needed to replay it against any C rows — the persistent
-/// form of the packing [`serial_with`] does per call, so a compiled
-/// inference session can pay the pack **once per weight matrix**
-/// instead of once per request.
-#[derive(Debug, Clone)]
-pub(crate) struct PackedBBlock {
-    l0: usize,
-    kc: usize,
-    j0: usize,
-    jw: usize,
-    data: Vec<f32>,
-}
-
-/// Packs every `KC × NC` block of B in the engine's walk order (`j0`
-/// outer, `l0` inner — the order that keeps per-element accumulation
-/// ascending in `k`).
-pub(crate) fn pack_b_blocks(b: &[f32], k: usize, n: usize) -> Vec<PackedBBlock> {
-    let mut blocks = Vec::new();
-    for j0 in (0..n).step_by(NC) {
-        let jw = NC.min(n - j0);
-        for l0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - l0);
-            let mut data = Vec::new();
-            pack_b(b, n, l0, kc, j0, jw, &mut data);
-            blocks.push(PackedBBlock { l0, kc, j0, jw, data });
-        }
-    }
-    blocks
-}
-
-/// [`gemm_f32_microkernel`] against pre-packed B blocks (from
-/// [`pack_b_blocks`]), serial. Identical block walk, identical
-/// kernels, identical accumulation order — bit-identical to packing B
-/// per call, for any `m` (a one-row problem just runs the fringe
-/// kernel).
-pub(crate) fn gemm_packed_serial(
+/// Runs one packed B tile (from [`pack_b`]) against the C rows in `c`
+/// (row count inferred): A rows are packed `MC` at a time, then every
+/// `MR × NR` register tile runs. `a` is the A slab for the same rows.
+/// Full tiles take the runtime-detected AVX2 kernel unless `portable`
+/// forces the portable one.
+pub(crate) fn mac_slab(
     a: &[f32],
-    blocks: &[PackedBBlock],
+    bpack: &[f32],
     c: &mut [f32],
-    m: usize,
     k: usize,
     n: usize,
+    tile: Tile,
+    portable: bool,
 ) {
-    let use_avx2 = avx2_available();
+    let use_avx2 = !portable && avx2_available();
+    let rows = c.len() / n;
+    let (kc, jw) = (tile.l1 - tile.l0, tile.j1 - tile.j0);
     let mut apack = Vec::new();
-    for blk in blocks {
-        for i0 in (0..m).step_by(MC) {
-            let mh = MC.min(m - i0);
-            pack_a(a, k, i0, mh, blk.l0, blk.kc, &mut apack);
-            block_packed(&apack, &blk.data, c, n, i0, mh, blk.j0, blk.jw, blk.kc, use_avx2);
-        }
-    }
-}
-
-/// [`gemm_f32_microkernel_parallel`] against pre-packed B blocks: C row
-/// chunks over the pool, the packed blocks shared read-only — B is
-/// packed **zero** times per GEMM. Byte-identical to the serial packed
-/// kernel for any chunk size or thread count.
-pub(crate) fn gemm_packed_parallel(
-    a: &[f32],
-    blocks: &[PackedBBlock],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    chunk_rows: usize,
-) {
-    use rayon::prelude::*;
-    let use_avx2 = avx2_available();
-    for blk in blocks {
-        c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(ci, cpanel)| {
-            let rows = cpanel.len() / n;
-            let base = ci * chunk_rows;
-            let mut apack = Vec::new();
-            for i0 in (0..rows).step_by(MC) {
-                let mh = MC.min(rows - i0);
-                pack_a(a, k, base + i0, mh, blk.l0, blk.kc, &mut apack);
-                block_packed(
-                    &apack, &blk.data, cpanel, n, i0, mh, blk.j0, blk.jw, blk.kc, use_avx2,
-                );
-            }
-        });
-    }
-}
-
-fn serial_with(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, use_avx2: bool) {
-    let mut bpack = Vec::new();
-    let mut apack = Vec::new();
-    for j0 in (0..n).step_by(NC) {
-        let jw = NC.min(n - j0);
-        for l0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - l0);
-            pack_b(b, n, l0, kc, j0, jw, &mut bpack);
-            for i0 in (0..m).step_by(MC) {
-                let mh = MC.min(m - i0);
-                pack_a(a, k, i0, mh, l0, kc, &mut apack);
-                block_packed(&apack, &bpack, c, n, i0, mh, j0, jw, kc, use_avx2);
-            }
-        }
-    }
-}
-
-/// `C += A·B` through the packed `f32` microkernel, serial, with the
-/// register kernel picked by **runtime** feature detection (AVX2 when
-/// the `simd` feature is compiled in and the host supports it, the
-/// portable lane kernel otherwise). Bit-identical to
-/// [`gemm_reference`](crate::gemm_reference) with
-/// [`ExactMul`](crate::ExactMul) — and to
-/// [`gemm_f32_microkernel_portable`] — for every shape.
-///
-/// This is the exact-`f32` kernel [`gemm`](crate::gemm) dispatches to;
-/// it is exported so the benches can time it in isolation.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape.
-pub fn gemm_f32_microkernel(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A has wrong length");
-    assert_eq!(b.len(), k * n, "B has wrong length");
-    assert_eq!(c.len(), m * n, "C has wrong length");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    serial_with(a, b, c, m, k, n, avx2_available());
-}
-
-/// [`gemm_f32_microkernel`] with the portable lane kernel **forced**,
-/// ignoring runtime detection. Exported so the differential suites (and
-/// CI's no-`simd` build) can assert the detected and portable paths are
-/// byte-identical; prefer [`gemm`](crate::gemm) everywhere else.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape.
-pub fn gemm_f32_microkernel_portable(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "A has wrong length");
-    assert_eq!(b.len(), k * n, "B has wrong length");
-    assert_eq!(c.len(), m * n, "C has wrong length");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    serial_with(a, b, c, m, k, n, false);
-}
-
-/// The parallel driver: C row chunks are distributed over the
-/// persistent pool; each packed B block is shared read-only across
-/// chunks (packed **once per GEMM**), each worker packs its own A rows.
-/// Chunks write disjoint C regions and accumulate in the same
-/// ascending-`k` order, so results are byte-identical to the serial
-/// kernel for any chunk size or thread count.
-pub(crate) fn gemm_f32_microkernel_parallel(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    chunk_rows: usize,
-) {
-    use rayon::prelude::*;
-    let use_avx2 = avx2_available();
-    let mut bpack = Vec::new();
-    for j0 in (0..n).step_by(NC) {
-        let jw = NC.min(n - j0);
-        for l0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - l0);
-            pack_b(b, n, l0, kc, j0, jw, &mut bpack);
-            let bpack = &bpack;
-            c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(ci, cpanel)| {
-                let rows = cpanel.len() / n;
-                let base = ci * chunk_rows;
-                let mut apack = Vec::new();
-                for i0 in (0..rows).step_by(MC) {
-                    let mh = MC.min(rows - i0);
-                    pack_a(a, k, base + i0, mh, l0, kc, &mut apack);
-                    block_packed(&apack, bpack, cpanel, n, i0, mh, j0, jw, kc, use_avx2);
-                }
-            });
-        }
+    for i0 in (0..rows).step_by(MC) {
+        let mh = MC.min(rows - i0);
+        pack_a(a, k, i0, mh, tile.l0, kc, &mut apack);
+        block_packed(&apack, bpack, c, n, i0, mh, tile.j0, jw, kc, use_avx2);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gemm_reference, ExactMul};
+    use crate::{gemm_f32_microkernel_portable, gemm_reference, ExactMul, GemmPlan};
 
     fn test_matrix(len: usize, seed: u64) -> Vec<f32> {
         (0..len)
@@ -479,6 +318,12 @@ mod tests {
             .collect()
     }
 
+    /// `C += A·B` through an `ExactMul` plan (packed tiles, detected
+    /// register kernel) in `chunk_rows`-row slabs.
+    fn packed(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, chunk: usize) {
+        GemmPlan::new(&ExactMul, b, k, n).run_chunked(&ExactMul, a, c, m, chunk.max(1));
+    }
+
     fn assert_matches_reference(m: usize, k: usize, n: usize) {
         let a = test_matrix(m * k, 1);
         let b = test_matrix(k * n, 2);
@@ -486,7 +331,7 @@ mod tests {
         let mut detected = vec![0.5f32; m * n];
         let mut portable = vec![0.5f32; m * n];
         gemm_reference(&ExactMul, &a, &b, &mut reference, m, k, n);
-        gemm_f32_microkernel(&a, &b, &mut detected, m, k, n);
+        packed(&a, &b, &mut detected, m, k, n, m);
         gemm_f32_microkernel_portable(&a, &b, &mut portable, m, k, n);
         for (i, r) in reference.iter().enumerate() {
             assert_eq!(r.to_bits(), detected[i].to_bits(), "{m}x{k}x{n} elem {i} (detected)");
@@ -506,8 +351,8 @@ mod tests {
             (MR - 1, 9, NR - 5),
             (1, 7, 40),
             (7, 1, 9),
-            (5, KC + 2, 11),
-            (6, 9, NC + 13),
+            (5, 256 + 2, 11),
+            (6, 9, 1024 + 13),
             (MC + 3, 31, 33),
         ] {
             assert_matches_reference(m, k, n);
@@ -517,7 +362,7 @@ mod tests {
     #[test]
     fn microkernel_accumulates_into_existing_c() {
         let mut c = vec![10.0f32, -0.0];
-        gemm_f32_microkernel(&[2.0], &[3.0, 0.0], &mut c, 1, 1, 2);
+        packed(&[2.0], &[3.0, 0.0], &mut c, 1, 1, 2, 1);
         assert_eq!(c[0], 16.0);
         // b == 0 multiplies through: -0.0 + 2.0*0.0 = +0.0 (native-f32
         // row semantics, same as ExactMul::mul_rows).
@@ -527,10 +372,11 @@ mod tests {
     #[test]
     fn microkernel_degenerate_shapes_are_noops() {
         let mut c = [7.0f32];
-        gemm_f32_microkernel(&[], &[], &mut c, 1, 0, 1);
+        packed(&[], &[], &mut c, 1, 0, 1, 1);
+        gemm_f32_microkernel_portable(&[], &[], &mut c, 1, 0, 1);
         assert_eq!(c[0], 7.0);
         let mut empty: [f32; 0] = [];
-        gemm_f32_microkernel(&[], &[], &mut empty, 0, 3, 0);
+        packed(&[], &[], &mut empty, 0, 3, 0, 1);
         gemm_f32_microkernel_portable(&[], &[], &mut empty, 0, 0, 0);
     }
 
@@ -540,10 +386,10 @@ mod tests {
             let a = test_matrix(m * k, 3);
             let b = test_matrix(k * n, 4);
             let mut serial = vec![0.0f32; m * n];
-            gemm_f32_microkernel(&a, &b, &mut serial, m, k, n);
+            packed(&a, &b, &mut serial, m, k, n, m);
             for chunk_rows in [1, 3, 32, m + 1] {
                 let mut par = vec![0.0f32; m * n];
-                gemm_f32_microkernel_parallel(&a, &b, &mut par, k, n, chunk_rows);
+                packed(&a, &b, &mut par, m, k, n, chunk_rows);
                 for (s, p) in serial.iter().zip(&par) {
                     assert_eq!(s.to_bits(), p.to_bits(), "{m}x{k}x{n} chunk {chunk_rows}");
                 }

@@ -1,7 +1,9 @@
 //! Differential property suite: the tiled, prepared-panel, parallel GEMM
 //! engine must be **bit-identical** to the scalar reference for every
 //! backend, every multiplier configuration, every mantissa width and
-//! every shape — including degenerate ones.
+//! every shape — including degenerate ones — from both B sources: eager
+//! `gemm` and a `GemmPlan` run auto-dispatched or in explicit row
+//! chunks.
 //!
 //! This is the contract that makes the engine a pure speed refactor: any
 //! divergence in accumulation order, zero-bypass handling, backend
@@ -9,10 +11,8 @@
 //! comparison.
 
 use daism_core::{
-    gemm, gemm_f32_microkernel, gemm_f32_microkernel_portable, gemm_microkernel_serial,
-    gemm_prepared_serial, gemm_reference, gemm_tiled_serial, gemm_with_prepared_b,
-    gemm_with_prepared_b_serial, ApproxFpMul, ExactMul, MantissaMultiplier, MultiplierConfig,
-    OperandMode, PreparedGemmB, QuantizedExactMul, ScalarMul,
+    gemm, gemm_f32_microkernel_portable, gemm_reference, ApproxFpMul, ExactMul, GemmPlan,
+    MantissaMultiplier, MultiplierConfig, OperandMode, QuantizedExactMul, ScalarMul,
 };
 use daism_num::FpFormat;
 use proptest::prelude::*;
@@ -38,6 +38,23 @@ fn backends() -> Vec<Box<dyn ScalarMul>> {
     v
 }
 
+fn assert_bits_eq(reference: &[f32], got: &[f32], what: &str) -> Result<(), TestCaseError> {
+    for (i, (r, g)) in reference.iter().zip(got).enumerate() {
+        prop_assert_eq!(
+            r.to_bits(),
+            g.to_bits(),
+            "{} element {}: reference {} vs {}",
+            what,
+            i,
+            r,
+            g
+        );
+    }
+    Ok(())
+}
+
+/// Pins eager `gemm`, `GemmPlan::run` and `GemmPlan::run_chunked` (chunks
+/// of 1, 2 and `m` rows) to `gemm_reference` for every backend.
 fn assert_all_backends_bit_identical(
     a: &[f32],
     b: &[f32],
@@ -46,106 +63,21 @@ fn assert_all_backends_bit_identical(
     n: usize,
 ) -> Result<(), TestCaseError> {
     for mul in backends() {
+        let mul = mul.as_ref();
+        let what = |path: &str| format!("{} {m}x{k}x{n} {path}", mul.name());
         let mut reference = vec![0.0f32; m * n];
+        gemm_reference(mul, a, b, &mut reference, m, k, n);
         let mut engine = vec![0.0f32; m * n];
-        let mut serial = vec![0.0f32; m * n];
-        let mut prepared = vec![0.0f32; m * n];
-        gemm_reference(mul.as_ref(), a, b, &mut reference, m, k, n);
-        gemm(mul.as_ref(), a, b, &mut engine, m, k, n);
-        gemm_tiled_serial(mul.as_ref(), a, b, &mut serial, m, k, n);
-        gemm_prepared_serial(mul.as_ref(), a, b, &mut prepared, m, k, n);
-        for (i, (r, t)) in reference.iter().zip(&engine).enumerate() {
-            prop_assert_eq!(
-                r.to_bits(),
-                t.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs engine {}",
-                mul.name(),
-                m,
-                k,
-                n,
-                i,
-                r,
-                t
-            );
-        }
-        for (i, (r, s)) in reference.iter().zip(&serial).enumerate() {
-            prop_assert_eq!(
-                r.to_bits(),
-                s.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs serial-tiled {}",
-                mul.name(),
-                m,
-                k,
-                n,
-                i,
-                r,
-                s
-            );
-        }
-        for (i, (r, s)) in reference.iter().zip(&prepared).enumerate() {
-            prop_assert_eq!(
-                r.to_bits(),
-                s.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs prepared-panel {}",
-                mul.name(),
-                m,
-                k,
-                n,
-                i,
-                r,
-                s
-            );
-        }
-        let mut micro = vec![0.0f32; m * n];
-        gemm_microkernel_serial(mul.as_ref(), a, b, &mut micro, m, k, n);
-        for (i, (r, s)) in reference.iter().zip(&micro).enumerate() {
-            prop_assert_eq!(
-                r.to_bits(),
-                s.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs microkernel {}",
-                mul.name(),
-                m,
-                k,
-                n,
-                i,
-                r,
-                s
-            );
-        }
-        // The compiled-session path: B prepared once, served through
-        // `gemm_with_prepared_b` (auto-dispatch) and its forced-serial
-        // twin — both must stay on the reference's bits, for every
-        // backend class and every shape including m == 1.
-        let prepared_b = PreparedGemmB::new(mul.as_ref(), b, k, n);
+        gemm(mul, a, b, &mut engine, m, k, n);
+        assert_bits_eq(&reference, &engine, &what("gemm"))?;
+        let plan = GemmPlan::new(mul, b, k, n);
         let mut served = vec![0.0f32; m * n];
-        gemm_with_prepared_b(mul.as_ref(), a, &prepared_b, &mut served, m);
-        let mut served_serial = vec![0.0f32; m * n];
-        gemm_with_prepared_b_serial(mul.as_ref(), a, &prepared_b, &mut served_serial, m);
-        for (i, ((r, s), t)) in reference.iter().zip(&served).zip(&served_serial).enumerate() {
-            prop_assert_eq!(
-                r.to_bits(),
-                s.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs prepared-B {}",
-                mul.name(),
-                m,
-                k,
-                n,
-                i,
-                r,
-                s
-            );
-            prop_assert_eq!(
-                r.to_bits(),
-                t.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs prepared-B-serial {}",
-                mul.name(),
-                m,
-                k,
-                n,
-                i,
-                r,
-                t
-            );
+        plan.run(mul, a, &mut served, m);
+        assert_bits_eq(&reference, &served, &what("plan"))?;
+        for chunk_rows in [1, 2, m.max(1)] {
+            let mut chunked = vec![0.0f32; m * n];
+            plan.run_chunked(mul, a, &mut chunked, m, chunk_rows);
+            assert_bits_eq(&reference, &chunked, &what(&format!("plan chunk {chunk_rows}")))?;
         }
     }
     Ok(())
@@ -302,12 +234,13 @@ proptest! {
         }
     }
 
-    /// The runtime-detected f32 microkernel path and the forced-portable
-    /// fallback must be **byte-identical** to each other and to the
-    /// scalar reference, across register-tile remainders (m, n, k not
-    /// multiples of MR/NR/KC), m == 1 and arbitrary fills — on a host
-    /// without AVX2 (or a no-`simd` build) the two entry points are the
-    /// same code and the property still pins kernel-vs-reference.
+    /// The runtime-detected f32 microkernel (an `ExactMul` plan's packed
+    /// tiles) and the forced-portable fallback must be
+    /// **byte-identical** to each other and to the scalar reference,
+    /// across register-tile remainders (m, n, k not multiples of
+    /// MR/NR/KC), m == 1 and arbitrary fills — on a host without AVX2
+    /// (or a no-`simd` build) the two are the same code and the property
+    /// still pins kernel-vs-reference.
     #[test]
     fn microkernel_detected_equals_portable_equals_reference(
         case in (1usize..19, 1usize..40, 1usize..37).prop_flat_map(|(m, k, n)| {
@@ -325,14 +258,10 @@ proptest! {
         let mut detected = c0.clone();
         let mut portable = c0;
         gemm_reference(&ExactMul, &a, &b, &mut reference, m, k, n);
-        gemm_f32_microkernel(&a, &b, &mut detected, m, k, n);
+        GemmPlan::new(&ExactMul, &b, k, n).run(&ExactMul, &a, &mut detected, m);
         gemm_f32_microkernel_portable(&a, &b, &mut portable, m, k, n);
-        for (i, r) in reference.iter().enumerate() {
-            prop_assert_eq!(r.to_bits(), detected[i].to_bits(),
-                "detected diverged at {}x{}x{} elem {}", m, k, n, i);
-            prop_assert_eq!(r.to_bits(), portable[i].to_bits(),
-                "portable diverged at {}x{}x{} elem {}", m, k, n, i);
-        }
+        assert_bits_eq(&reference, &detected, &format!("detected {m}x{k}x{n}"))?;
+        assert_bits_eq(&reference, &portable, &format!("portable {m}x{k}x{n}"))?;
     }
 }
 

@@ -1,10 +1,9 @@
-use crate::gemm::gemm;
 use crate::session::{
     CompiledConv, CompiledConvWeights, CompiledDense, CompiledDenseWeights, CompiledLayer,
     InferenceBackendRef,
 };
 use crate::tensor::Tensor;
-use daism_core::{BlockFpGemm, ExactMul, PreparedGemmB, ScalarMul};
+use daism_core::{gemm, BlockFpGemm, ExactMul, GemmPlan, ScalarMul};
 
 /// A trainable parameter: value, gradient accumulator and SGD momentum
 /// buffer.
@@ -221,15 +220,15 @@ impl Layer for Dense {
         // microkernel packing / BlockFp tile quantization) is hoisted
         // into the snapshot.
         let wt = self.weight_t();
-        let weights =
-            match backend {
-                InferenceBackendRef::Scalar(mul) => CompiledDenseWeights::Scalar(
-                    PreparedGemmB::new(mul, &wt, self.in_features, self.out_features),
-                ),
-                InferenceBackendRef::BlockFp(engine) => CompiledDenseWeights::BlockFp(
-                    engine.prepare_b(&wt, self.in_features, self.out_features),
-                ),
-            };
+        let (k, n) = (self.in_features, self.out_features);
+        let weights = match backend {
+            InferenceBackendRef::Scalar(mul) => {
+                CompiledDenseWeights::Scalar(GemmPlan::new(mul, &wt, k, n))
+            }
+            InferenceBackendRef::BlockFp(engine) => {
+                CompiledDenseWeights::BlockFp(engine.prepare_b(&wt, k, n))
+            }
+        };
         Some(CompiledLayer::dense(CompiledDense {
             in_features: self.in_features,
             out_features: self.out_features,

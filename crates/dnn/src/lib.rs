@@ -18,8 +18,12 @@
 //! ([`Layer::forward_blockfp`] /
 //! [`train::accuracy_blockfp`]) — the accelerator's §IV-B integer-mode
 //! dataflow with per-tile shared exponents — via
-//! [`BlockFpGemm`](daism_core::BlockFpGemm); [`blockfp_gemm`] is the
-//! standalone matrix entry point.
+//! [`BlockFpGemm`](daism_core::BlockFpGemm).
+//!
+//! Every layer lowers its multiplies (forward *and* backward) to
+//! [`daism_core::gemm`], and a compiled `Dense` serves its weights from a
+//! [`daism_core::GemmPlan`]; the matrix-level entry points live in
+//! `daism-core` alone.
 //!
 //! For serving, models **compile once and serve many**:
 //! [`Sequential::compile`] snapshots every layer's weights in their
@@ -53,17 +57,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod blockfp;
 pub mod datasets;
-mod gemm;
 mod layers;
 pub mod models;
 mod session;
 mod tensor;
 pub mod train;
 
-pub use blockfp::blockfp_gemm;
-pub use gemm::{gemm, gemm_reference};
 pub use layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, Param, ReLU, Residual, Sequential};
 pub use session::{CompiledLayer, CompiledModel, InferenceBackendRef, InferenceSession};
 pub use tensor::Tensor;

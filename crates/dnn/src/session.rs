@@ -9,7 +9,7 @@
 //!
 //! * [`Sequential::compile`] walks a trained model once and snapshots
 //!   each layer into its immutable serving form — `Dense` captures a
-//!   fully [`PreparedGemmB`] weight matrix (or pre-quantized BlockFp
+//!   [`GemmPlan`] of its weight matrix (or pre-quantized BlockFp
 //!   tiles), `Conv2d` captures its kernel matrix (and its BlockFp
 //!   row quantization), activations/pooling/reshapes compile to pure
 //!   functions;
@@ -41,10 +41,7 @@
 
 use crate::layers::{maxpool2x2, ConvGeom, Layer, Sequential};
 use crate::tensor::Tensor;
-use daism_core::{
-    gemm, gemm_with_prepared_b, BlockFpGemm, BlockFpPreparedA, BlockFpPreparedB, PreparedGemmB,
-    ScalarMul,
-};
+use daism_core::{gemm, BlockFpGemm, BlockFpPreparedA, BlockFpPreparedB, GemmPlan, ScalarMul};
 
 /// The arithmetic backend a model is compiled *for* — either a
 /// [`ScalarMul`] (the float datapath the eager `forward` uses) or the
@@ -76,9 +73,9 @@ impl std::fmt::Debug for InferenceBackendRef<'_> {
 /// backend's GEMM consumes with zero per-request conversion.
 #[derive(Debug)]
 pub(crate) enum CompiledDenseWeights {
-    /// `Wᵀ` through [`PreparedGemmB`]: packed microkernel panels for
-    /// native f32, decoded panels for the approximate backends.
-    Scalar(PreparedGemmB),
+    /// `Wᵀ` as a [`GemmPlan`]: packed microkernel panels for native f32,
+    /// decoded panels for the approximate backends.
+    Scalar(GemmPlan),
     /// `Wᵀ` pre-quantized into per-tile BlockFp mantissas/exponents.
     BlockFp(BlockFpPreparedB),
 }
@@ -100,7 +97,7 @@ impl CompiledDense {
         let mut y = Tensor::zeros(&[batch, self.out_features]);
         match (&self.weights, backend) {
             (CompiledDenseWeights::Scalar(wt), InferenceBackendRef::Scalar(mul)) => {
-                gemm_with_prepared_b(mul, x.data(), wt, y.data_mut(), batch);
+                wt.run(mul, x.data(), y.data_mut(), batch);
             }
             (CompiledDenseWeights::BlockFp(wt), InferenceBackendRef::BlockFp(engine)) => {
                 engine.execute_with_prepared_b(x.data(), wt, y.data_mut(), batch);
