@@ -1,7 +1,8 @@
 //! Machine-readable GEMM perf trajectory: times the scalar reference,
 //! the serial **lane-packed microkernel** layer and the full
-//! auto-dispatched engine for the exact-f32 and bf16/PC3_tr backends —
-//! plus the **block-floating-point** engine (whole-matrix baseline,
+//! auto-dispatched engine for the exact-f32 and bf16/PC3_tr backends and
+//! the two Fig. 4 baselines, quantized-exact bf16 and fp32/PC3_tr — plus
+//! the **block-floating-point** engine (whole-matrix baseline,
 //! scalar reference, serial tiled, parallel) — then writes
 //! `BENCH_gemm.json` so speedups are tracked across PRs without parsing
 //! criterion output.
@@ -20,8 +21,10 @@
 //! * `reference` — the scalar loop, the semantic anchor;
 //! * `microkernel` — the serial lane-packed layer: a [`GemmPlan`] built
 //!   per call and run as one C chunk ([`plan_serial`]) — the packed
-//!   register-tile `f32` kernel for `exact_f32`, the SoA lane-packed
-//!   prepared-panel kernel for the approximate backend;
+//!   register-tile `f32` kernel for `exact_f32`, the prepared-panel
+//!   kernels for the others (SoA lanes over the product table for
+//!   bf16, over subset-OR tables for fp32, native multiply plus bit
+//!   rounding for quantized-exact);
 //! * `parallel` — the auto-dispatched engine ([`gemm`]), which adds the
 //!   thread gate on top.
 //!
@@ -46,7 +49,8 @@
 //!   seam).
 
 use daism_core::{
-    gemm, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul, GemmPlan, MultiplierConfig, ScalarMul,
+    gemm, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul, GemmPlan, MultiplierConfig,
+    QuantizedExactMul, ScalarMul,
 };
 use daism_num::FpFormat;
 use std::time::Instant;
@@ -254,6 +258,8 @@ fn main() {
     let backends: Vec<(&str, Box<dyn ScalarMul>)> = vec![
         ("exact_f32", Box::new(daism_core::ExactMul)),
         ("bf16_pc3_tr", Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16))),
+        ("quantized_exact_bf16", Box::new(QuantizedExactMul::new(FpFormat::BF16))),
+        ("fp32_pc3_tr", Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::FP32))),
     ];
 
     let blockfp = BlockFpGemm::new(MultiplierConfig::PC3_TR, BLOCKFP_WIDTH);
@@ -263,7 +269,7 @@ fn main() {
         for (bname, backend) in &backends {
             for (vname, f) in VARIANTS {
                 let (best, median) = time_cell(*f, backend.as_ref(), size, reps);
-                eprintln!("{size}^3 {bname:>12} {vname:>11}: best {best} ns, median {median} ns");
+                eprintln!("{size}^3 {bname:>20} {vname:>11}: best {best} ns, median {median} ns");
                 cells.push(Cell {
                     size,
                     backend: (*bname).to_string(),
@@ -277,7 +283,7 @@ fn main() {
         for (vname, f) in BLOCKFP_VARIANTS {
             let (best, median) = time_blockfp_cell(*f, &blockfp, size, reps);
             eprintln!(
-                "{size}^3 {blockfp_name:>12} {vname:>12}: best {best} ns, median {median} ns"
+                "{size}^3 {blockfp_name:>20} {vname:>11}: best {best} ns, median {median} ns"
             );
             cells.push(Cell {
                 size,

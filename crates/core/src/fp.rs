@@ -1,11 +1,19 @@
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::mantissa::{MantissaMultiplier, PreparedMultiplicand};
-use daism_num::{bits, encode_normal_f32, FpClass, FpFormat, FpScalar};
+use daism_num::{bits, encode_normal_f32, quantize_f32, FpClass, FpFormat, FpScalar};
 use std::fmt;
 
 /// Elements per lane group in the lane-packed approximate multiply
 /// kernel (one [`MantissaMultiplier::mul_lanes`] call per group).
 const LANES: usize = 8;
+
+/// Shortest panel on which [`ApproxFpMul::mul_prepared`] builds a
+/// multiplicand's subset-OR tables for a mantissa too wide for the
+/// product table; shorter panels keep the mask-OR chain. Measured on
+/// fp32/PC3_tr GEMMs (`16×72×n`, serial, 2-core x86-64): the two break
+/// even near 48 columns, tables win by 1.3× at 64 and 4× at 1024, the
+/// chain by 2× at 8.
+const OR_TABLE_MIN_COLS: usize = 64;
 
 /// A B row-panel pre-decoded for repeated [`ScalarMul::mul_prepared`]
 /// calls — the operand-conversion work the GEMM engine hoists out of the
@@ -14,9 +22,10 @@ const LANES: usize = 8;
 ///
 /// Produced by [`ScalarMul::prepare_panel`]; the cached representation
 /// is backend-specific (nothing for native `f32`, quantized operands for
-/// [`QuantizedExactMul`], decoded sign/exponent/mantissa fields for
-/// [`ApproxFpMul`]), but every panel also keeps the raw `f32` values so
-/// any backend can fall back to its [`mul_rows`](ScalarMul::mul_rows)
+/// [`QuantizedExactMul`], decoded sign/exponent fields and mantissas —
+/// or, for mantissas too wide for the product table, wordline masks —
+/// for [`ApproxFpMul`]), but every panel also keeps the raw `f32` values
+/// so any backend can fall back to its [`mul_rows`](ScalarMul::mul_rows)
 /// semantics — feeding a panel to a *different* backend is therefore
 /// still correct, just unaccelerated.
 #[derive(Debug, Clone)]
@@ -30,36 +39,46 @@ enum PanelData {
     /// No per-element cache; `mul_prepared` falls back to `mul_rows` on
     /// the raw values (the trait default, and native-`f32` backends).
     Raw,
-    /// [`QuantizedExactMul`]: operands quantized into `format` once,
-    /// held as the exact `f64` the per-element multiply consumes.
-    Quantized { format: FpFormat, vals: Vec<f64> },
-    /// [`ApproxFpMul`]: operands decoded into `format` once, held as
-    /// **structure-of-arrays mantissa lanes** so the multiply kernel
-    /// runs branch-free over [`LANES`]-wide groups — the LUT-ready
-    /// mantissas, the exponents/signs the combiner folds, a per-element
-    /// accumulate mask (zero bypass as a bit select, not a branch) and
-    /// a per-group escape flag for the rare Inf/NaN elements that need
-    /// the exact side logic.
-    Decoded {
-        format: FpFormat,
-        /// Mantissas with explicit leading one (`0` for non-normals).
-        mans: Vec<u32>,
-        /// Unbiased exponents (`0` for non-normals).
-        exps: Vec<i32>,
-        /// Sign bits, pre-shifted to the `f32` sign position.
-        signs: Vec<u32>,
-        /// Accumulate mask: `!0` for `Normal`, `0` for zero bypass —
-        /// the lane kernel keeps the C bits through a select instead of
-        /// branching per element.
-        sel: Vec<u32>,
-        /// Per-[`LANES`]-group flag: the group holds an element that
-        /// needs the exact side logic — Inf/NaN, or a nonzero `f32`
-        /// that flushes to format zero, whose signed-zero product the
-        /// scalar path *accumulates* rather than skips — and must take
-        /// the scalar fallback (covers full groups only; the tail group
-        /// is always scalar).
-        exotic: Vec<bool>,
-    },
+    /// [`QuantizedExactMul`] on a format that
+    /// [fits `f32`](FpFormat::fits_f32): operands quantized into
+    /// `format` once, held as the exact `f32` the per-element multiply
+    /// consumes.
+    Quantized { format: FpFormat, vals: Vec<f32> },
+    /// [`ApproxFpMul`] on a format that fits `f32`.
+    Decoded(DecodedPanel),
+}
+
+/// [`ApproxFpMul`]'s panel: operands decoded into `format` once, held as
+/// **structure-of-arrays lanes** so the multiply kernel runs branch-free
+/// over [`LANES`]-wide groups — the multiplier keys the product stage
+/// reads, the exponents/signs the combiner folds, a per-element
+/// accumulate mask (zero bypass as a bit select, not a branch) and a
+/// per-group escape flag for the rare Inf/NaN elements that need the
+/// exact side logic.
+#[derive(Debug, Clone)]
+struct DecodedPanel {
+    format: FpFormat,
+    /// Per-element multiplier key (`0` for non-normals): the mantissa
+    /// with explicit leading one — the product-table column — when the
+    /// mantissa multiplier has a table (`n ≤ 8`), and otherwise the
+    /// wordline mask `LineLayout::decode` gives for it, so the per-MAC
+    /// product skips the decode.
+    keys: Vec<u32>,
+    /// Unbiased exponents (`0` for non-normals).
+    exps: Vec<i32>,
+    /// Sign bits, pre-shifted to the `f32` sign position.
+    signs: Vec<u32>,
+    /// Accumulate mask: `!0` for `Normal`, `0` for zero bypass — the
+    /// lane kernel keeps the C bits through a select instead of
+    /// branching per element.
+    sel: Vec<u32>,
+    /// Per-[`LANES`]-group flag: the group holds an element that needs
+    /// the exact side logic — Inf/NaN, or a nonzero `f32` that flushes
+    /// to format zero, whose signed-zero product the scalar path
+    /// *accumulates* rather than skips — and must take the scalar
+    /// fallback (covers full groups only; the tail group is always
+    /// scalar).
+    exotic: Vec<bool>,
 }
 
 impl PreparedPanel {
@@ -224,9 +243,17 @@ impl QuantizedExactMul {
 
 impl ScalarMul for QuantizedExactMul {
     fn mul(&self, x: f32, y: f32) -> f32 {
-        let xq = FpScalar::from_f32(x, self.format).to_f64();
-        let yq = FpScalar::from_f32(y, self.format).to_f64();
-        FpScalar::from_f32((xq * yq) as f32, self.format).to_f32()
+        let f = self.format;
+        if f.fits_f32() {
+            // Format values are exact `f32`s and the exact product of two
+            // has at most 48 significant bits, so rounding it once to
+            // `f32` (overflow and subnormals included) is exactly the
+            // native multiply.
+            return quantize_f32(quantize_f32(x, f) * quantize_f32(y, f), f);
+        }
+        let xq = FpScalar::from_f32(x, f).to_f64();
+        let yq = FpScalar::from_f32(y, f).to_f64();
+        FpScalar::from_f32((xq * yq) as f32, f).to_f32()
     }
 
     fn name(&self) -> String {
@@ -234,24 +261,37 @@ impl ScalarMul for QuantizedExactMul {
     }
 
     fn mul_rows(&self, a: f32, b: &[f32], c: &mut [f32]) {
+        let f = self.format;
+        if !f.fits_f32() {
+            for (cv, bv) in c.iter_mut().zip(b) {
+                if *bv != 0.0 {
+                    *cv += self.mul(a, *bv);
+                }
+            }
+            return;
+        }
         // Quantize the reused operand once per panel; per-element math is
-        // unchanged, so results stay bit-identical to `mul`.
-        let xq = FpScalar::from_f32(a, self.format).to_f64();
+        // `mul`'s, so results stay bit-identical to it.
+        let xq = quantize_f32(a, f);
         for (cv, bv) in c.iter_mut().zip(b) {
             if *bv != 0.0 {
-                let yq = FpScalar::from_f32(*bv, self.format).to_f64();
-                *cv += FpScalar::from_f32((xq * yq) as f32, self.format).to_f32();
+                *cv += quantize_f32(xq * quantize_f32(*bv, f), f);
             }
         }
     }
 
     fn prepare_panel(&self, b: &[f32]) -> PreparedPanel {
-        let vals = b.iter().map(|&bv| FpScalar::from_f32(bv, self.format).to_f64()).collect();
-        PreparedPanel { raw: b.to_vec(), data: PanelData::Quantized { format: self.format, vals } }
+        let f = self.format;
+        if !f.fits_f32() {
+            return PreparedPanel { raw: b.to_vec(), data: PanelData::Raw };
+        }
+        let vals = b.iter().map(|&bv| quantize_f32(bv, f)).collect();
+        PreparedPanel { raw: b.to_vec(), data: PanelData::Quantized { format: f, vals } }
     }
 
     fn supports_prepared_panels(&self) -> bool {
-        true
+        // Other formats keep the raw fallback in `prepare_panel`.
+        self.format.fits_f32()
     }
 
     fn mul_prepared(&self, a: f32, panel: &PreparedPanel, c: &mut [f32]) {
@@ -263,13 +303,12 @@ impl ScalarMul for QuantizedExactMul {
         }
         debug_assert_eq!(panel.len(), c.len(), "panel length mismatch");
         // The cached `yq` is exactly the value `mul_rows` re-derives per
-        // element; only the result quantization (which depends on `a`)
-        // remains in the loop.
-        let xq = FpScalar::from_f32(a, self.format).to_f64();
+        // element; only the native multiply and the result rounding
+        // remain in the loop, with the zero bypass as a select.
+        let xq = quantize_f32(a, *format);
         for ((cv, bv), yq) in c.iter_mut().zip(panel.raw()).zip(vals) {
-            if *bv != 0.0 {
-                *cv += FpScalar::from_f32((xq * yq) as f32, self.format).to_f32();
-            }
+            let p = quantize_f32(xq * yq, *format);
+            *cv = if *bv != 0.0 { *cv + p } else { *cv };
         }
     }
 }
@@ -301,11 +340,6 @@ impl ScalarMul for QuantizedExactMul {
 pub struct ApproxFpMul {
     format: FpFormat,
     mult: MantissaMultiplier,
-    /// `true` when every normal result of this format is directly
-    /// encodable in `f32` bits (mantissa ≤ 24 bits, exponent range
-    /// within `f32`'s) — lets the batched path skip the `FpScalar`
-    /// round-trip. Holds for all predefined formats.
-    fast_f32: bool,
 }
 
 impl ApproxFpMul {
@@ -313,9 +347,7 @@ impl ApproxFpMul {
     /// format.
     pub fn new(config: MultiplierConfig, format: FpFormat) -> Self {
         let mult = MantissaMultiplier::new(config, OperandMode::Fp, format.mantissa_width());
-        let fast_f32 =
-            format.mantissa_width() <= 24 && format.max_exp() <= 127 && format.min_exp() >= -126;
-        ApproxFpMul { format, mult, fast_f32 }
+        ApproxFpMul { format, mult }
     }
 
     /// The operand/result format.
@@ -431,7 +463,7 @@ impl ApproxFpMul {
     /// normalisation, same saturation, same panic on a denormalised
     /// read-out — **bit-identical** results, asserted by the
     /// `mul_rows`-vs-`mul` equivalence tests. Only valid when
-    /// `self.fast_f32` (checked by the caller).
+    /// `self.format.fits_f32()` (checked by the caller).
     #[inline]
     fn combine_raw_to_f32(&self, x: &FpScalar, y: &FpScalar, raw: u64) -> f32 {
         self.fuse_combine(x.sign() ^ y.sign(), x.exponent() + y.exponent(), raw)
@@ -440,7 +472,8 @@ impl ApproxFpMul {
     /// The parts-level core of [`combine_raw_to_f32`](Self::combine_raw_to_f32):
     /// takes the already-XORed sign and already-summed exponent, so the
     /// prepared-panel path can feed cached fields without materialising
-    /// `FpScalar`s. Only valid when `self.fast_f32` (checked by callers).
+    /// `FpScalar`s. Only valid when `self.format.fits_f32()` (checked by
+    /// callers).
     #[inline]
     fn fuse_combine(&self, sign: bool, exp_sum: i32, raw: u64) -> f32 {
         if raw == 0 {
@@ -472,10 +505,13 @@ impl ApproxFpMul {
     /// and the zero bypass as a bit select on the accumulator — never
     /// `c + 0.0`, which would flip a negative-zero accumulator. All
     /// lanes are fixed-width arrays, so the whole fold autovectorizes
-    /// on stable. Only valid when `self.fast_f32` and for read-outs of
-    /// `Normal` operands and exact-zero `f32`s (callers route Inf/NaN
-    /// and flushed-nonzero groups to the scalar fallback).
-    #[inline]
+    /// on stable. Only valid when `self.format.fits_f32()` and for
+    /// read-outs of `Normal` operands and exact-zero `f32`s (callers
+    /// route Inf/NaN and flushed-nonzero groups to the scalar fallback).
+    // Always inlined: with three product kernels calling it the compiler
+    // would outline it, and a call per lane group measurably slows the
+    // narrow-mantissa kernel.
+    #[inline(always)]
     fn combine_lanes(
         &self,
         raws: &[u64; LANES],
@@ -527,8 +563,8 @@ impl ApproxFpMul {
     /// values with the multiplicand already decoded and prepared — the
     /// fallback the lane kernel escapes to for Inf/NaN groups and tail
     /// elements, and the body of the batched `mul_rows` fast path. Only
-    /// valid when `self.fast_f32` and `xs` is `Normal` (checked by
-    /// callers).
+    /// valid when `self.format.fits_f32()` and `xs` is `Normal` (checked
+    /// by callers).
     fn mul_prepared_scalar_chunk(
         &self,
         xs: &FpScalar,
@@ -548,6 +584,51 @@ impl ApproxFpMul {
                 self.mul_scalars(xs, &ys).to_f32()
             };
         }
+    }
+
+    /// The decoded-panel kernel: `c[j] += mul(a, b[j])` over a
+    /// [`DecodedPanel`], with `product` turning a cached multiplier key
+    /// into the raw mantissa read-out for the prepared `a`. Renormalise,
+    /// saturation and the zero bypass are selects over fixed-width lanes
+    /// ([`combine_lanes`](Self::combine_lanes)), so each group
+    /// vectorizes; Inf/NaN or flushed-nonzero groups and the tail take
+    /// the scalar fallback. Every step computes exactly the value the
+    /// scalar path computes, so results stay bit-identical (the
+    /// prepared-vs-`mul_rows` equivalence tests and the differential
+    /// GEMM suite enforce this). Only valid when
+    /// `self.format.fits_f32()` and `xs` is `Normal`.
+    fn mac_decoded(
+        &self,
+        xs: &FpScalar,
+        prep: &PreparedMultiplicand,
+        raw: &[f32],
+        dec: &DecodedPanel,
+        c: &mut [f32],
+        product: impl Fn(u32) -> u64,
+    ) {
+        let groups = c.len() / LANES;
+        let (head, tail) = c.split_at_mut(groups * LANES);
+        for (g, cch) in head.chunks_exact_mut(LANES).enumerate() {
+            let base = g * LANES;
+            if dec.exotic[g] {
+                self.mul_prepared_scalar_chunk(xs, prep, &raw[base..base + LANES], cch);
+                continue;
+            }
+            // Fixed-width array views: index-free lanes the compiler can
+            // keep in vector registers.
+            let lanes = base..base + LANES;
+            let cch: &mut [f32; LANES] = cch.try_into().expect("lane group");
+            let kch: &[u32; LANES] = dec.keys[lanes.clone()].try_into().expect("lane group");
+            let ech: &[i32; LANES] = dec.exps[lanes.clone()].try_into().expect("lane group");
+            let sch: &[u32; LANES] = dec.signs[lanes.clone()].try_into().expect("lane group");
+            let zch: &[u32; LANES] = dec.sel[lanes].try_into().expect("lane group");
+            let mut raws = [0u64; LANES];
+            for (r, &k) in raws.iter_mut().zip(kch) {
+                *r = product(k);
+            }
+            self.combine_lanes(&raws, ech, sch, zch, xs, cch);
+        }
+        self.mul_prepared_scalar_chunk(xs, prep, &raw[groups * LANES..], tail);
     }
 }
 
@@ -579,7 +660,7 @@ impl ScalarMul for ApproxFpMul {
             return;
         }
         let prep = self.mult.prepare(xs.mantissa());
-        if self.fast_f32 {
+        if self.format.fits_f32() {
             self.mul_prepared_scalar_chunk(&xs, &prep, b, c);
             return;
         }
@@ -599,13 +680,13 @@ impl ScalarMul for ApproxFpMul {
     }
 
     fn prepare_panel(&self, b: &[f32]) -> PreparedPanel {
-        if !self.fast_f32 {
+        if !self.format.fits_f32() {
             // Exotic formats stay on the FpScalar path; nothing cheap to
             // cache, so keep the raw fallback.
             return PreparedPanel { raw: b.to_vec(), data: PanelData::Raw };
         }
         let len = b.len();
-        let mut mans = Vec::with_capacity(len);
+        let mut keys = Vec::with_capacity(len);
         let mut exps = Vec::with_capacity(len);
         let mut signs = Vec::with_capacity(len);
         let mut sel = Vec::with_capacity(len);
@@ -614,16 +695,16 @@ impl ScalarMul for ApproxFpMul {
             let ys = FpScalar::from_f32(bv, self.format);
             match ys.class() {
                 FpClass::Normal => {
-                    mans.push(ys.mantissa() as u32);
+                    keys.push(self.mult.key(ys.mantissa()));
                     exps.push(ys.exponent());
                     signs.push((ys.sign() as u32) << 31);
                     sel.push(u32::MAX);
                 }
                 FpClass::Zero => {
-                    // Zero bypass: lane 0 of the product table reads 0,
-                    // and the zeroed select mask keeps C untouched —
-                    // exactly the scalar path's `bv == 0.0` skip.
-                    mans.push(0);
+                    // Zero bypass: key 0 reads product 0, and the zeroed
+                    // select mask keeps C untouched — exactly the scalar
+                    // path's `bv == 0.0` skip.
+                    keys.push(0);
                     exps.push(0);
                     signs.push(0);
                     sel.push(0);
@@ -641,7 +722,7 @@ impl ScalarMul for ApproxFpMul {
                     }
                 }
                 FpClass::Inf | FpClass::Nan => {
-                    mans.push(0);
+                    keys.push(0);
                     exps.push(0);
                     signs.push(0);
                     sel.push(0);
@@ -651,23 +732,21 @@ impl ScalarMul for ApproxFpMul {
                 }
             }
         }
-        PreparedPanel {
-            raw: b.to_vec(),
-            data: PanelData::Decoded { format: self.format, mans, exps, signs, sel, exotic },
-        }
+        let decoded = DecodedPanel { format: self.format, keys, exps, signs, sel, exotic };
+        PreparedPanel { raw: b.to_vec(), data: PanelData::Decoded(decoded) }
     }
 
     fn supports_prepared_panels(&self) -> bool {
         // Exotic formats keep the raw fallback in `prepare_panel`, so
         // there is nothing for the engine to amortise.
-        self.fast_f32
+        self.format.fits_f32()
     }
 
     fn mul_prepared(&self, a: f32, panel: &PreparedPanel, c: &mut [f32]) {
-        let PanelData::Decoded { format, mans, exps, signs, sel, exotic } = &panel.data else {
+        let PanelData::Decoded(dec) = &panel.data else {
             return self.mul_rows(a, panel.raw(), c);
         };
-        if *format != self.format || !self.fast_f32 {
+        if dec.format != self.format || !self.format.fits_f32() {
             return self.mul_rows(a, panel.raw(), c);
         }
         debug_assert_eq!(panel.len(), c.len(), "panel length mismatch");
@@ -681,51 +760,20 @@ impl ScalarMul for ApproxFpMul {
             }
             return;
         }
-        // Per-call work: one decode of `a` and one line-pattern (or
-        // table row) derivation. Per-MAC work: a product-table (or OR)
-        // read plus a handful of integer ops — the normalise + encode
-        // of `fuse_combine`, re-expressed branch-free so the whole
-        // group vectorizes: renormalise shifts, saturation and the zero
-        // bypass all become selects over fixed-width lanes. Every step
-        // computes exactly the value the scalar path computes, so
-        // results stay bit-identical (the prepared-vs-mul_rows
-        // equivalence tests and the differential GEMM suite enforce
-        // this).
+        // Per-call work: one decode of `a` and its line patterns (or
+        // table row); per-MAC work: one product read of the cached key
+        // plus the branch-free combine.
         let prep = self.mult.prepare(xs.mantissa());
-        let row = self.mult.lut_row(&prep);
-        let groups = c.len() / LANES;
-        let (head, tail) = c.split_at_mut(groups * LANES);
-        for (g, cch) in head.chunks_exact_mut(LANES).enumerate() {
-            let base = g * LANES;
-            if exotic[g] {
-                // Inf/NaN or flushed-nonzero in the group: exact side
-                // logic, per element.
-                self.mul_prepared_scalar_chunk(&xs, &prep, &panel.raw()[base..base + LANES], cch);
-                continue;
-            }
-            // Fixed-width array views: index-free lanes the compiler
-            // can keep in vector registers.
-            let cch: &mut [f32; LANES] = cch.try_into().expect("lane group");
-            let mch: &[u32; LANES] = mans[base..base + LANES].try_into().expect("lane group");
-            // Gather the lane read-outs: one table-row read per lane
-            // for memoized widths, the prepared-pattern OR otherwise.
-            let mut raws = [0u64; LANES];
-            if let Some(row) = row {
-                let mask = row.len() - 1;
-                for (r, &mv) in raws.iter_mut().zip(mch) {
-                    *r = row[mv as usize & mask] as u64;
-                }
-            } else {
-                for (r, &mv) in raws.iter_mut().zip(mch) {
-                    *r = self.mult.multiply_prepared_trusted(&prep, mv as u64);
-                }
-            }
-            let ech: &[i32; LANES] = exps[base..base + LANES].try_into().expect("lane group");
-            let sch: &[u32; LANES] = signs[base..base + LANES].try_into().expect("lane group");
-            let zch: &[u32; LANES] = sel[base..base + LANES].try_into().expect("lane group");
-            self.combine_lanes(&raws, ech, sch, zch, &xs, cch);
+        if let Some(row) = self.mult.lut_row(&prep) {
+            let mask = row.len() - 1;
+            self.mac_decoded(&xs, &prep, panel.raw(), dec, c, |k| row[k as usize & mask] as u64);
+        } else if c.len() >= OR_TABLE_MIN_COLS {
+            self.mult.with_or_tables(&prep, |t| {
+                self.mac_decoded(&xs, &prep, panel.raw(), dec, c, |k| t.product(k))
+            });
+        } else {
+            self.mac_decoded(&xs, &prep, panel.raw(), dec, c, |k| prep.or_mask(k));
         }
-        self.mul_prepared_scalar_chunk(&xs, &prep, &panel.raw()[groups * LANES..], tail);
     }
 }
 
@@ -855,6 +903,31 @@ mod tests {
         )
         .to_f32();
         assert_eq!(m.mul(x, y), expect);
+    }
+
+    /// The native-multiply path against the exact `f64` product it
+    /// replaces: quantize both operands, multiply exactly in `f64`,
+    /// round once to `f32`, quantize the result.
+    #[test]
+    fn quantized_exact_native_multiply_matches_f64_product() {
+        let ys =
+            [1.0 + 2f32.powi(-8), -1.5, 3.0e38, -1.1e-38, 2f32.powi(-14), 65504.0, 1e-30, 7.25];
+        for format in [FpFormat::BF16, FpFormat::FP16, FpFormat::TF32, FpFormat::FP32] {
+            let m = QuantizedExactMul::new(format);
+            for h in (0u32..=0xFFFF).step_by(3) {
+                let x = f32::from_bits(h << 16 | 0x8000);
+                for &y in &ys {
+                    let xq = FpScalar::from_f32(x, format).to_f64();
+                    let yq = FpScalar::from_f32(y, format).to_f64();
+                    let want = FpScalar::from_f32((xq * yq) as f32, format).to_f32();
+                    let got = m.mul(x, y);
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "{format}: {x:e} * {y:e}: {got:e} vs {want:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

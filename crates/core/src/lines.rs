@@ -250,89 +250,43 @@ impl LineLayout {
         if b == 0 {
             return 0;
         }
+        // Closed forms over `r`, the multiplier's n bits reversed: bit i
+        // of `r` is the bit whose plain partial product is line i of the
+        // FLA layout (bit 0 = A, the MSB). The other layouts move the
+        // plain lines by a constant and pick one combination line from
+        // the top bits of `r`.
         let n = self.n;
+        let r = ((b as u32).reverse_bits() >> (32 - n)) as u64;
         match (self.config.kind, self.mode) {
-            (MultiplierKind::Fla, _) => {
-                // Line i is the plain PP of bit n-1-i.
-                let mut mask = 0u64;
-                for i in 0..n {
-                    if bits::bit(b, n - 1 - i) {
-                        mask |= 1 << i;
-                    }
-                }
-                mask
-            }
+            // Line i is the plain PP of bit n-1-i.
+            (MultiplierKind::Fla, _) => r,
             (MultiplierKind::Pc2, OperandMode::Fp) => {
-                // Line 0 = A, line 1 = AB, lines 2.. = C.. (shift n-1-i).
-                let mut mask = if bits::bit(b, n - 2) { 0b10 } else { 0b01 };
-                for i in 2..n {
-                    if bits::bit(b, n - 1 - i) {
-                        mask |= 1 << i;
-                    }
-                }
-                mask
+                // Line 0 = A, line 1 = AB (picked by B; A is always set),
+                // lines 2.. = C.. in place.
+                (r & !0b11) | 1 << ((r >> 1) & 1)
             }
             (MultiplierKind::Pc3, OperandMode::Fp) => {
-                // Lines 0..=3 = A, AB, AC, ABC selected by bits n-2, n-3;
-                // lines 4.. = D.. (shift n-1-i... laid out from n-4 down).
-                let idx = match (bits::bit(b, n - 2), bits::bit(b, n - 3)) {
-                    (false, false) => 0,
-                    (true, false) => 1,
-                    (false, true) => 2,
-                    (true, true) => 3,
-                };
-                let mut mask = 1u64 << idx;
-                for s in 0..=n - 4 {
-                    if bits::bit(b, s) {
-                        // Plain line for shift s sits at index 4 + (n-4-s).
-                        mask |= 1 << (4 + (n - 4 - s));
-                    }
-                }
-                mask
+                // Lines 0..=3 = A, AB, AC, ABC, indexed by B + 2C; the
+                // plain lines D.. sit one position further down.
+                ((r << 1) & !0xF) | 1 << ((r >> 1) & 0b11)
             }
             (MultiplierKind::Pc2, OperandMode::Int) => {
-                // Lines 0..n-2 = A..G (shifts n-1..1), line n-1 = AB.
-                let a_set = bits::bit(b, n - 1);
-                let b_set = bits::bit(b, n - 2);
-                let mut mask = 0u64;
-                if a_set && b_set {
-                    mask |= 1 << (n - 1); // AB replaces both
-                } else if a_set {
-                    mask |= 1 << 0;
-                } else if b_set {
-                    mask |= 1 << 1;
+                // Lines 0..n-2 = A..G in place, line n-1 = AB replacing
+                // both A and B. Bit 0 (H) has no line: its contribution
+                // is lost, as in the paper's Fig. 2.
+                let plain = r & bits::mask(n - 1);
+                if r & 0b11 == 0b11 {
+                    (plain & !0b11) | 1 << (n - 1)
+                } else {
+                    plain
                 }
-                // Remaining plain lines: shifts n-3..1 at indices 2..n-2.
-                for i in 2..(n - 1) {
-                    if bits::bit(b, n - 1 - i) {
-                        mask |= 1 << i;
-                    }
-                }
-                // Bit 0 (H) has no line: its contribution is lost, as in
-                // the paper's Fig. 2.
-                mask
             }
             (MultiplierKind::Pc3, OperandMode::Int) => {
-                // Lines 0..=6 = A, B, C, AB, AC, BC, ABC; 7.. = D..
-                let a = bits::bit(b, n - 1);
-                let bb = bits::bit(b, n - 2);
-                let c = bits::bit(b, n - 3);
-                let mut mask = match (a, bb, c) {
-                    (false, false, false) => 0u64,
-                    (true, false, false) => 1 << 0,
-                    (false, true, false) => 1 << 1,
-                    (false, false, true) => 1 << 2,
-                    (true, true, false) => 1 << 3,
-                    (true, false, true) => 1 << 4,
-                    (false, true, true) => 1 << 5,
-                    (true, true, true) => 1 << 6,
-                };
-                for s in 0..=n - 4 {
-                    if bits::bit(b, s) {
-                        mask |= 1 << (7 + (n - 4 - s));
-                    }
-                }
-                mask
+                // Lines 0..=6 = A, B, C, AB, AC, BC, ABC for the {A,B,C}
+                // subset `r & 7` (A = 1, B = 2, C = 4); lines 7.. = D..
+                // three positions further down.
+                const COMBO: [u64; 8] = [0, 1 << 0, 1 << 1, 1 << 3, 1 << 2, 1 << 4, 1 << 5, 1 << 6];
+                ((r << 4) & !0x7F) | COMBO[(r & 7) as usize]
             }
         }
     }
@@ -488,6 +442,130 @@ mod tests {
         assert_eq!(l.decode(0b0110_0000), 1 << 5); // BC
         assert_eq!(l.decode(0b1110_0000), 1 << 6); // ABC
         assert_eq!(l.decode(0b0000_1000), 1 << 8); // E? shift 3 -> 7+(4-3)=8
+    }
+
+    /// The per-bit decode the closed forms replaced, kept as their
+    /// reference.
+    fn decode_per_bit(l: &LineLayout, b: u64) -> u64 {
+        let n = l.mantissa_width();
+        if b == 0 {
+            return 0;
+        }
+        let bit = |s: u32| bits::bit(b, s);
+        let mut mask = 0u64;
+        match (l.config().kind, l.mode()) {
+            (MultiplierKind::Fla, _) => {
+                for i in 0..n {
+                    if bit(n - 1 - i) {
+                        mask |= 1 << i;
+                    }
+                }
+            }
+            (MultiplierKind::Pc2, OperandMode::Fp) => {
+                mask = if bit(n - 2) { 0b10 } else { 0b01 };
+                for i in 2..n {
+                    if bit(n - 1 - i) {
+                        mask |= 1 << i;
+                    }
+                }
+            }
+            (MultiplierKind::Pc3, OperandMode::Fp) => {
+                mask = 1 << (bit(n - 2) as u32 + 2 * bit(n - 3) as u32);
+                for s in 0..=n - 4 {
+                    if bit(s) {
+                        mask |= 1 << (4 + (n - 4 - s));
+                    }
+                }
+            }
+            (MultiplierKind::Pc2, OperandMode::Int) => {
+                match (bit(n - 1), bit(n - 2)) {
+                    (true, true) => mask |= 1 << (n - 1),
+                    (true, false) => mask |= 1,
+                    (false, true) => mask |= 0b10,
+                    (false, false) => {}
+                }
+                for i in 2..(n - 1) {
+                    if bit(n - 1 - i) {
+                        mask |= 1 << i;
+                    }
+                }
+            }
+            (MultiplierKind::Pc3, OperandMode::Int) => {
+                mask = match (bit(n - 1), bit(n - 2), bit(n - 3)) {
+                    (false, false, false) => 0,
+                    (true, false, false) => 1 << 0,
+                    (false, true, false) => 1 << 1,
+                    (false, false, true) => 1 << 2,
+                    (true, true, false) => 1 << 3,
+                    (true, false, true) => 1 << 4,
+                    (false, true, true) => 1 << 5,
+                    (true, true, true) => 1 << 6,
+                };
+                for s in 0..=n - 4 {
+                    if bit(s) {
+                        mask |= 1 << (7 + (n - 4 - s));
+                    }
+                }
+            }
+        }
+        mask
+    }
+
+    fn every_layout(n: u32) -> Vec<LineLayout> {
+        let mut v = Vec::new();
+        for kind in MultiplierKind::ALL {
+            for mode in [OperandMode::Fp, OperandMode::Int] {
+                v.push(LineLayout::new(MultiplierConfig { kind, truncate: false }, mode, n));
+            }
+        }
+        v
+    }
+
+    /// The operands `decode` accepts: every `n`-bit value in integer
+    /// mode, zero or a value with its leading one in fp mode.
+    fn decodable(l: &LineLayout, b: u64) -> bool {
+        let n = l.mantissa_width();
+        l.mode() == OperandMode::Int || b == 0 || bits::bit(b, n - 1)
+    }
+
+    #[test]
+    fn closed_form_decode_matches_per_bit_exhaustively_up_to_12_bits() {
+        for n in 4..=12 {
+            for l in every_layout(n) {
+                for b in (0..1u64 << n).filter(|&b| decodable(&l, b)) {
+                    assert_eq!(
+                        l.decode(b),
+                        decode_per_bit(&l, b),
+                        "{} {:?} n={n} b={b:#x}",
+                        l.config(),
+                        l.mode()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_decode_matches_per_bit_sampled_at_24_bits() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for l in every_layout(24) {
+            for _ in 0..20_000 {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let mut b = (state >> 40) & bits::mask(24);
+                if l.mode() == OperandMode::Fp {
+                    b |= 1 << 23;
+                }
+                assert_eq!(
+                    l.decode(b),
+                    decode_per_bit(&l, b),
+                    "{} {:?} b={b:#x}",
+                    l.config(),
+                    l.mode()
+                );
+            }
+            let all_ones = bits::mask(24);
+            assert_eq!(l.decode(all_ones), decode_per_bit(&l, all_ones));
+        }
     }
 
     #[test]

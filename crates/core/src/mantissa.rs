@@ -9,6 +9,18 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// the paper's preferred format, is covered).
 const LUT_MAX_WIDTH: u32 = 8;
 
+/// Most wordlines any layout has (PC3 in integer mode at `n = 24` has
+/// 28), so a wordline mask fits a `u32` and a multiplicand's patterns a
+/// fixed array.
+pub(crate) const MAX_LINES: usize = 32;
+
+/// Wordlines per subset-OR table: a group's active-line subset is one
+/// byte of the wordline mask.
+const GROUP_LINES: usize = 8;
+
+/// Subset-OR tables per multiplicand (`MAX_LINES / GROUP_LINES`).
+const GROUPS: usize = MAX_LINES / GROUP_LINES;
+
 /// Process-wide memo of product tables, keyed by everything that
 /// determines the wired-OR semantics. Constructing the same multiplier
 /// twice (the benches and the DNN experiments do, per layer and per
@@ -57,6 +69,13 @@ fn or_read(layout: &LineLayout, a: u64, b: u64) -> u64 {
         m &= m - 1;
     }
     acc
+}
+
+thread_local! {
+    /// Each thread's reused [`OrTables`] buffer (8 KiB): built once per
+    /// multiplicand by [`MantissaMultiplier::with_or_tables`].
+    static OR_TABLES: std::cell::RefCell<OrTables> =
+        const { std::cell::RefCell::new(OrTables([[0; 256]; GROUPS])) };
 }
 
 /// Exact product of two mantissas (reference for error analysis).
@@ -124,6 +143,7 @@ impl MantissaMultiplier {
     /// Panics for unsupported widths (see [`LineLayout::new`]).
     pub fn new(config: MultiplierConfig, mode: OperandMode, n: u32) -> Self {
         let layout = LineLayout::new(config, mode, n);
+        assert!(layout.len() <= MAX_LINES, "{} wordlines exceed a u32 mask", layout.len());
         let lut = (n <= LUT_MAX_WIDTH).then(|| build_or_reuse_lut(&layout));
         MantissaMultiplier { layout, lut }
     }
@@ -202,13 +222,14 @@ impl MantissaMultiplier {
     pub fn prepare(&self, a: u64) -> PreparedMultiplicand {
         let n = self.layout.mantissa_width();
         assert!(bits::width_of(a) <= n, "multiplicand {a:#x} wider than {n} bits");
-        let patterns = if self.lut.is_some() {
-            // Table path: per-line patterns are never consulted.
-            Vec::new()
-        } else {
-            (0..self.layout.len()).map(|i| self.layout.stored_pattern(i, a)).collect()
-        };
-        PreparedMultiplicand { a, patterns }
+        let mut patterns = [0u64; MAX_LINES];
+        // The table path never consults per-line patterns.
+        if self.lut.is_none() {
+            for (i, p) in patterns.iter_mut().enumerate().take(self.layout.len()) {
+                *p = self.layout.stored_pattern(i, a);
+            }
+        }
+        PreparedMultiplicand { a, patterns, lines: self.layout.len() }
     }
 
     /// [`multiply`](Self::multiply) with a pre-bound multiplicand:
@@ -318,6 +339,18 @@ impl MantissaMultiplier {
         out
     }
 
+    /// The per-multiplier key a decoded panel caches for `b`: `b`
+    /// itself (the product-table column) when this multiplier has a
+    /// table, otherwise its wordline mask — so the per-MAC product
+    /// skips the decode.
+    pub(crate) fn key(&self, b: u64) -> u32 {
+        if self.lut.is_some() {
+            b as u32
+        } else {
+            self.layout.decode(b) as u32
+        }
+    }
+
     /// The memoized product-table row bound to `prep` (all 2ⁿ products
     /// of the prepared multiplicand), or `None` for widths served by the
     /// prepared-pattern OR path. Crate-internal seam for lane kernels
@@ -333,15 +366,24 @@ impl MantissaMultiplier {
 
     #[inline]
     fn or_prepared(&self, prep: &PreparedMultiplicand, b: u64) -> u64 {
-        let mask = self.layout.decode(b);
-        let mut acc = 0u64;
-        let mut m = mask;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            acc |= prep.patterns[i];
-            m &= m - 1;
-        }
-        acc
+        prep.or_mask(self.layout.decode(b) as u32)
+    }
+
+    /// Runs `f` with the subset-OR tables of `prep` built into this
+    /// thread's reused buffer, so products against many wordline masks
+    /// cost [`OrTables::product`]'s four lookups each instead of an OR
+    /// chain over the active lines. Building costs about one OR per
+    /// table entry (`⌈L/8⌉ · 256`), so it pays only for long panels.
+    pub(crate) fn with_or_tables<R>(
+        &self,
+        prep: &PreparedMultiplicand,
+        f: impl FnOnce(&OrTables) -> R,
+    ) -> R {
+        OR_TABLES.with(|cell| {
+            let mut tables = cell.borrow_mut();
+            tables.build(&prep.patterns[..prep.lines]);
+            f(&tables)
+        })
     }
 
     /// The *exact* value at the same scale as
@@ -373,9 +415,11 @@ impl MantissaMultiplier {
 #[derive(Debug, Clone)]
 pub struct PreparedMultiplicand {
     a: u64,
-    /// One stored pattern per wordline (empty when the multiplier serves
-    /// products from its memoized table instead).
-    patterns: Vec<u64>,
+    /// One stored pattern per wordline, the first `lines` entries (all
+    /// zero when the multiplier serves products from its memoized table
+    /// instead).
+    patterns: [u64; MAX_LINES],
+    lines: usize,
 }
 
 impl PreparedMultiplicand {
@@ -383,6 +427,56 @@ impl PreparedMultiplicand {
     #[inline]
     pub fn value(&self) -> u64 {
         self.a
+    }
+
+    /// The wired-OR read for a decoded wordline mask: the OR chain over
+    /// its active lines' patterns.
+    #[inline]
+    pub(crate) fn or_mask(&self, mask: u32) -> u64 {
+        let mut acc = 0u64;
+        let mut m = mask;
+        while m != 0 {
+            acc |= self.patterns[m.trailing_zeros() as usize];
+            m &= m - 1;
+        }
+        acc
+    }
+}
+
+/// One multiplicand's subset-OR tables: table `g` holds, at index `s`,
+/// the OR of the patterns of lines `8g + i` for every bit `i` set in
+/// `s`. OR is associative, so a product is the OR of one entry per
+/// group — the subset-table evaluation of approximate multipliers,
+/// applied to groups of eight wordlines.
+pub(crate) struct OrTables([[u64; 256]; GROUPS]);
+
+impl OrTables {
+    /// Fills the tables for `patterns` (one per line). Entry `0` of every
+    /// table is the empty OR and stays `0`, so groups past the layout
+    /// read `0`; the entries of a partial last group past its own lines
+    /// are never indexed, since a mask has no bits past the layout.
+    fn build(&mut self, patterns: &[u64]) {
+        for (table, group) in self.0.iter_mut().zip(patterns.chunks(GROUP_LINES)) {
+            // Doubling: the subsets whose highest line is `i` are the
+            // subsets below it, each ORed with line `i`'s pattern.
+            for (i, &p) in group.iter().enumerate() {
+                let (lo, hi) = table.split_at_mut(1 << i);
+                for (h, &l) in hi.iter_mut().zip(lo.iter()) {
+                    *h = l | p;
+                }
+            }
+        }
+    }
+
+    /// The wired-OR read for a decoded wordline mask: one lookup per
+    /// eight-line group.
+    #[inline]
+    pub(crate) fn product(&self, mask: u32) -> u64 {
+        let t = &self.0;
+        t[0][mask as u8 as usize]
+            | t[1][(mask >> 8) as u8 as usize]
+            | t[2][(mask >> 16) as u8 as usize]
+            | t[3][(mask >> 24) as u8 as usize]
     }
 }
 
@@ -665,6 +759,54 @@ mod tests {
                             "{} n={n}: a={a:#x} b={b:#x}",
                             m.config()
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Multipliers for the wide-width kernel tests: zero, the leading
+    /// one alone, all ones (every line active — for PC3 at `n = 24` that
+    /// includes line 24, the one-line last table group) and a
+    /// pseudo-random spread, each given its leading one in fp mode.
+    fn wide_multipliers(n: u32, mode: OperandMode) -> Vec<u64> {
+        let top = 1u64 << (n - 1);
+        let mut v = vec![0, top, bits::mask(n), top | 1, top | (top >> 1) | (top >> 2)];
+        let mut state = 0x2545_F491_4F6C_DD1Du64 ^ n as u64;
+        for _ in 0..300 {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            v.push((state >> 20) & bits::mask(n));
+        }
+        if mode == OperandMode::Fp {
+            v.iter_mut().filter(|b| **b != 0).for_each(|b| *b |= top);
+        }
+        v
+    }
+
+    #[test]
+    fn or_tables_and_mask_chain_match_bitwise() {
+        // Widths interleaved so each table build follows one of a
+        // different group count on the same thread: stale entries of
+        // the reused buffer must never be read.
+        for n in [24u32, 9, 16, 11] {
+            for config in MultiplierConfig::ALL {
+                for mode in [OperandMode::Fp, OperandMode::Int] {
+                    let m = MantissaMultiplier::new(config, mode, n);
+                    assert!(m.lut.is_none());
+                    if (config.kind, mode, n) == (MultiplierKind::Pc3, OperandMode::Fp, 24) {
+                        assert_eq!(m.layout().len(), 25, "one line in the last table group");
+                    }
+                    let bs = wide_multipliers(n, mode);
+                    for &a in &[bits::mask(n), 1u64 << (n - 1), 0x005A_5A5A & bits::mask(n), 1] {
+                        let prep = m.prepare(a);
+                        m.with_or_tables(&prep, |t| {
+                            for &b in &bs {
+                                let (mask, want) = (m.key(b), m.multiply_bitwise(a, b));
+                                let what = format!("{config} {mode:?} n={n}: a={a:#x} b={b:#x}");
+                                assert_eq!(t.product(mask), want, "tables, {what}");
+                                assert_eq!(prep.or_mask(mask), want, "mask chain, {what}");
+                            }
+                        });
                     }
                 }
             }

@@ -106,6 +106,23 @@ proptest! {
     }
 
     #[test]
+    fn tiled_equals_reference_on_wide_panels(
+        case in (1usize..3, 1usize..4, 64usize..100).prop_flat_map(|(m, k, n)| {
+            // Panels of 64+ columns: wide mantissas take the subset-OR
+            // table product instead of the mask chain.
+            (
+                Just((m, k, n)),
+                prop::collection::vec(-8.0f32..8.0, m * k),
+                prop::collection::vec(-8.0f32..8.0, k * n),
+            )
+        }),
+    ) {
+        let ((m, k, n), a, b) = case;
+        let (a, b) = (sparsify(a), sparsify(b));
+        assert_all_backends_bit_identical(&a, &b, m, k, n)?;
+    }
+
+    #[test]
     fn tiled_equals_reference_above_parallel_threshold(
         case in (33usize..44, 24usize..32, 96usize..128).prop_flat_map(|(m, k, n)| {
             // m > MC and m·k·n ≥ 76k MACs: the row panels genuinely split

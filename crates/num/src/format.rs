@@ -109,6 +109,16 @@ impl FpFormat {
         1 + self.exp_bits + self.man_bits
     }
 
+    /// `true` if every normal value of this format is a normal `f32`:
+    /// a mantissa of at most 24 bits and an exponent range inside
+    /// `f32`'s. Holds for every predefined format; it is the gate for
+    /// the fused `f32` bit paths ([`encode_normal_f32`](crate::encode_normal_f32),
+    /// [`quantize_f32`](crate::quantize_f32)'s rounding trick).
+    #[inline]
+    pub const fn fits_f32(&self) -> bool {
+        self.mantissa_width() <= 24 && self.max_exp() <= 127 && self.min_exp() >= -126
+    }
+
     /// Largest finite value representable in this format.
     pub fn max_value(&self) -> f64 {
         let frac = 2.0 - (0.5f64).powi(self.man_bits as i32) * 1.0;
@@ -174,6 +184,15 @@ mod tests {
         assert_eq!(f.min_exp(), -14);
         assert_eq!(f.max_exp(), 15);
         assert_eq!(f.total_bits(), 16);
+    }
+
+    #[test]
+    fn predefined_formats_fit_f32() {
+        for f in [FpFormat::FP32, FpFormat::BF16, FpFormat::FP16, FpFormat::TF32] {
+            assert!(f.fits_f32(), "{f}");
+        }
+        assert!(!FpFormat::new(11, 23).unwrap().fits_f32()); // exponent range
+        assert!(!FpFormat::new(8, 24).unwrap().fits_f32()); // mantissa width
     }
 
     #[test]

@@ -269,7 +269,7 @@ impl FpScalar {
 #[inline]
 pub fn encode_normal_f32(sign: bool, exp: i32, man: u64, format: FpFormat) -> f32 {
     let n = format.mantissa_width();
-    debug_assert!(n <= 24 && format.max_exp() <= 127 && format.min_exp() >= -126);
+    debug_assert!(format.fits_f32());
     assert!(
         bits::width_of(man) == n,
         "mantissa {man:#x} must be exactly {n} bits wide with the leading one set"
@@ -288,6 +288,15 @@ pub fn encode_normal_f32(sign: bool, exp: i32, man: u64, format: FpFormat) -> f3
 /// Quantizes `x` through `format` and back to `f32` — the storage round-trip
 /// a value experiences when held in a reduced-precision buffer.
 ///
+/// Bit-identical to `FpScalar::from_f32(x, format).to_f32()`: the
+/// mantissa rounds to nearest-even (a carry moves into the exponent),
+/// exponent overflow saturates to ±Inf, values below the format's
+/// smallest normal — `f32` subnormals included — flush to ±0, ±Inf stays
+/// itself and every NaN becomes `f32::NAN`. For formats that
+/// [`fit f32`](FpFormat::fits_f32) it works on the bits alone, cheap
+/// enough for a per-MAC call; other formats take the `FpScalar`
+/// round-trip.
+///
 /// # Examples
 ///
 /// ```
@@ -297,8 +306,40 @@ pub fn encode_normal_f32(sign: bool, exp: i32, man: u64, format: FpFormat) -> f3
 /// assert_eq!(quantize_f32(1.0 + 1.0 / 512.0, FpFormat::BF16), 1.0);
 /// assert_eq!(quantize_f32(1.0 + 1.0 / 64.0, FpFormat::BF16), 1.0 + 1.0 / 64.0);
 /// ```
+#[inline]
 pub fn quantize_f32(x: f32, format: FpFormat) -> f32 {
-    FpScalar::from_f32(x, format).to_f32()
+    if !format.fits_f32() {
+        return FpScalar::from_f32(x, format).to_f32();
+    }
+    let raw = x.to_bits();
+    let sign = raw & 0x8000_0000;
+    let abs = raw & 0x7FFF_FFFF;
+    // Round to nearest-even at the format's last mantissa bit: adding
+    // `half - 1 + lsb` carries out of the dropped bits exactly when they
+    // exceed half, or equal it with an odd kept part; a carry out of the
+    // mantissa lands in the exponent field.
+    let drop = 24 - format.mantissa_width();
+    let rounded = if drop == 0 {
+        abs
+    } else {
+        let lsb = (abs >> drop) & 1;
+        (abs + (1 << (drop - 1)) - 1 + lsb) & !((1u32 << drop) - 1)
+    };
+    // The format's range as `f32` magnitude bits: its smallest normal,
+    // and the largest pattern with its top exponent (±Inf lies above).
+    let min_normal = ((format.min_exp() + 127) as u32) << 23;
+    let max_finite = (((format.max_exp() + 127) as u32) << 23) | 0x7F_FFFF;
+    // Every case is a select, not a branch, so loops over this vectorize.
+    let out = if abs > 0x7F80_0000 {
+        f32::NAN.to_bits()
+    } else if rounded > max_finite {
+        sign | 0x7F80_0000 // overflow, or ±Inf itself
+    } else if abs < 0x0080_0000 || rounded < min_normal {
+        sign // zero, f32 subnormal or format underflow
+    } else {
+        sign | rounded
+    };
+    f32::from_bits(out)
 }
 
 #[cfg(test)]
@@ -460,6 +501,34 @@ mod tests {
     #[should_panic(expected = "leading one")]
     fn encode_normal_f32_rejects_missing_leading_one() {
         let _ = encode_normal_f32(false, 0, 0b0100_0000, FpFormat::BF16);
+    }
+
+    /// Every upper 16-bit pattern × low halves on and around the bf16
+    /// rounding boundary: covers every rounding tie, mantissa carry-out,
+    /// saturation and flush edge of every predefined format.
+    #[test]
+    fn quantize_f32_matches_fpscalar_round_trip() {
+        for format in [FpFormat::FP32, FpFormat::BF16, FpFormat::FP16, FpFormat::TF32] {
+            for hi in 0u32..=0xFFFF {
+                for lo in [0x0000u32, 0x7FFF, 0x8000, 0x8001, 0xFFFF] {
+                    let x = f32::from_bits(hi << 16 | lo);
+                    let fast = quantize_f32(x, format);
+                    let oracle = FpScalar::from_f32(x, format).to_f32();
+                    assert_eq!(fast.to_bits(), oracle.to_bits(), "{format}: {:#010x}", x.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_f32_covers_formats_outside_f32() {
+        let wide = FpFormat::new(11, 30).unwrap();
+        for x in [1.0f32 + f32::EPSILON, -3.3e38, 1e-40, f32::INFINITY] {
+            assert_eq!(
+                quantize_f32(x, wide).to_bits(),
+                FpScalar::from_f32(x, wide).to_f32().to_bits()
+            );
+        }
     }
 
     #[test]
