@@ -20,11 +20,10 @@
 //!
 //! * `reference` — the scalar loop, the semantic anchor;
 //! * `microkernel` — the serial lane-packed layer: a [`GemmPlan`] built
-//!   per call and run as one C chunk ([`plan_serial`]) — the packed
-//!   register-tile `f32` kernel for `exact_f32`, the prepared-panel
-//!   kernels for the others (SoA lanes over the product table for
-//!   bf16, over subset-OR tables for fp32, native multiply plus bit
-//!   rounding for quantized-exact);
+//!   per call and run as one C chunk — the packed register-tile `f32`
+//!   kernel for `exact_f32`, the prepared-panel kernels for the others
+//!   (SoA lanes over the product table for bf16, over subset-OR tables
+//!   for fp32, native multiply plus bit rounding for quantized-exact);
 //! * `parallel` — the auto-dispatched engine ([`gemm`]), which adds the
 //!   thread gate on top.
 //!
@@ -32,304 +31,129 @@
 //! chunk spanning all rows); `parallel` adds the worker pool.
 //!
 //! Each (size, backend, variant) cell reports the best and median of a
-//! few timed repetitions (best-of filters scheduler noise; the median
-//! shows spread). Derived speedups versus the reference are included
-//! per cell so the JSON is self-describing.
+//! few timed repetitions and its speedup over the same run's reference
+//! (see [`daism_bench::harness`]).
 //!
-//! # Guards (CI gates, non-zero exit on violation)
+//! # Guards (CI gates, non-zero exit)
 //!
 //! * **Dispatch guard**: at sizes ≥ 64³ every non-`reference` row must
 //!   measure `speedup_vs_reference ≥ 0.95` — the dispatch layer must
 //!   never pick a variant that loses to the naive loop (the PR-1/PR-2
 //!   exact-f32 regression this PR fixes). Smaller smoke sizes are below
-//!   timing resolution and are exempt.
+//!   timing resolution and are exempt. The JSON is still written.
 //! * **BlockFp validation**: before timing, the engine's output is
 //!   checked — all-finite, no scale blowup against the exact f32 GEMM,
 //!   byte-identical across repeats and chunk sizes (the thread-count
-//!   seam).
+//!   seam). A violation panics the bin.
 
+use daism_bench::harness::{self, quoted, Report, Row, BLOCKFP_WIDTH};
 use daism_core::{
     gemm, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul, GemmPlan, MultiplierConfig,
     QuantizedExactMul, ScalarMul,
 };
 use daism_num::FpFormat;
-use std::time::Instant;
+use std::process::ExitCode;
 
-type GemmFn = fn(&dyn ScalarMul, &[f32], &[f32], &mut [f32], usize, usize, usize);
+/// One timed path: `C += A·B` for square `size³` operands.
+type Variant<'a> = (&'static str, Box<dyn Fn(&[f32], &[f32], &mut [f32], usize) + 'a>);
 
-/// B converted tile by tile at plan time, then every tile run over all
-/// `m` rows on the calling thread: the serial kernel layer without the
-/// thread gate.
-fn plan_serial(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    GemmPlan::new(mul, b, k, n).run_chunked(mul, a, c, m, m.max(1));
-}
-
-const VARIANTS: &[(&str, GemmFn)] =
-    &[("reference", gemm_reference), ("microkernel", plan_serial), ("parallel", gemm)];
-
-type BlockFpFn = fn(&BlockFpGemm, &[f32], &[f32], &mut [f32], usize, usize, usize);
-
-fn blockfp_tiled_serial(
-    e: &BlockFpGemm,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    // One chunk spanning all rows: the lane-packed tiled kernel without
-    // row parallelism, so the engine win is visible next to `parallel`.
-    e.execute_chunked(a, b, c, m, k, n, m.max(1));
+fn float_variants(mul: &dyn ScalarMul) -> Vec<Variant<'_>> {
+    vec![
+        ("reference", Box::new(|a, b, c, s| gemm_reference(mul, a, b, c, s, s, s))),
+        // B converted tile by tile at plan time, then every tile run over
+        // all rows on the calling thread: the serial kernel layer without
+        // the thread gate.
+        (
+            "microkernel",
+            Box::new(|a, b, c, s| GemmPlan::new(mul, b, s, s).run_chunked(mul, a, c, s, s.max(1))),
+        ),
+        ("parallel", Box::new(|a, b, c, s| gemm(mul, a, b, c, s, s, s))),
+    ]
 }
 
 /// Whole-matrix quantization (the paper's literal mode) is the blockfp
 /// baseline, the scalar per-tile reference anchors semantics, and
 /// tiled/parallel are the engine.
-const BLOCKFP_VARIANTS: &[(&str, BlockFpFn)] = &[
-    ("whole_matrix", BlockFpGemm::execute_whole_matrix),
-    ("reference", BlockFpGemm::reference),
-    ("tiled", blockfp_tiled_serial),
-    ("parallel", BlockFpGemm::execute),
-];
-
-/// `man_width` for the benched blockfp engine: 9 signed bits = 8
-/// magnitude bits, the bf16-mantissa-equivalent width that rides the
-/// memoized product LUT (the configuration the accelerator actually
-/// targets).
-const BLOCKFP_WIDTH: u32 = 9;
+fn blockfp_variants(e: &BlockFpGemm) -> Vec<Variant<'_>> {
+    vec![
+        ("whole_matrix", Box::new(|a, b, c, s| e.execute_whole_matrix(a, b, c, s, s, s))),
+        ("reference", Box::new(|a, b, c, s| e.reference(a, b, c, s, s, s))),
+        // One chunk spanning all rows: the lane-packed tiled kernel
+        // without row parallelism, so the engine win is visible next to
+        // `parallel`.
+        ("tiled", Box::new(|a, b, c, s| e.execute_chunked(a, b, c, s, s, s, s.max(1)))),
+        ("parallel", Box::new(|a, b, c, s| e.execute(a, b, c, s, s, s))),
+    ]
+}
 
 /// Smallest size the dispatch guard applies to: below this a cell runs
 /// in microseconds and scheduler noise swamps the 5% margin.
 const GUARD_MIN_SIZE: usize = 64;
 
-fn test_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
-    // Same deterministic fill as benches/gemm.rs, so numbers line up.
-    let a: Vec<f32> = (0..m * k).map(|i| (i as f32 % 7.0) - 3.0).collect();
-    let b: Vec<f32> = (0..k * n).map(|i| (i as f32 % 5.0) - 2.0).collect();
-    (a, b)
-}
-
-/// Times one `(backend, variant, size)` cell: `reps` timed runs after
-/// one warm-up, returning `(best_ns, median_ns)`.
-fn time_cell(f: GemmFn, mul: &dyn ScalarMul, size: usize, reps: usize) -> (u128, u128) {
-    let (m, k, n) = (size, size, size);
-    let (a, b) = test_operands(m, k, n);
-    let mut out = vec![0.0f32; m * n];
-    f(mul, &a, &b, &mut out, m, k, n); // warm-up (LUT build, pool spawn)
-    let mut samples: Vec<u128> = (0..reps)
-        .map(|_| {
-            out.fill(0.0);
-            let t0 = Instant::now();
-            f(mul, &a, &b, &mut out, m, k, n);
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    (samples[0], samples[samples.len() / 2])
-}
-
-/// Times one blockfp `(variant, size)` cell, same protocol as
-/// [`time_cell`].
-fn time_blockfp_cell(f: BlockFpFn, engine: &BlockFpGemm, size: usize, reps: usize) -> (u128, u128) {
-    let (m, k, n) = (size, size, size);
-    let (a, b) = test_operands(m, k, n);
-    let mut out = vec![0.0f32; m * n];
-    f(engine, &a, &b, &mut out, m, k, n); // warm-up (LUT build, pool spawn)
-    let mut samples: Vec<u128> = (0..reps)
-        .map(|_| {
-            out.fill(0.0);
-            let t0 = Instant::now();
-            f(engine, &a, &b, &mut out, m, k, n);
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    (samples[0], samples[samples.len() / 2])
-}
-
-/// CI guard for the blockfp rows: no NaN/Inf, no scale blowup against
-/// the exact f32 GEMM, and byte-identical output across repeated runs
-/// and chunk sizes (the thread-count seam). Exits non-zero on failure so
-/// the bench-smoke step catches regressions without parsing the JSON.
+/// Checks the blockfp engine before it is timed: no NaN/Inf, no scale
+/// blowup against the exact f32 GEMM, and byte-identical output across
+/// repeated runs and chunk sizes (the thread-count seam).
+///
+/// # Panics
+///
+/// Panics on any violation, failing the run.
 fn validate_blockfp(engine: &BlockFpGemm, size: usize) {
     let (m, k, n) = (size, size, size);
-    let (a, b) = test_operands(m, k, n);
+    let (a, b) = harness::test_operands(m, k, n);
     let run = |f: &dyn Fn(&mut [f32])| {
         let mut c = vec![0.0f32; m * n];
         f(&mut c);
         c
     };
     let out = run(&|c| engine.execute(&a, &b, c, m, k, n));
-    if out.iter().any(|v| !v.is_finite()) {
-        eprintln!("blockfp validation failed: non-finite output at {size}^3");
-        std::process::exit(1);
-    }
+    assert!(out.iter().all(|v| v.is_finite()), "blockfp: non-finite output at {size}^3");
     let exact = run(&|c| gemm(&ExactMul, &a, &b, c, m, k, n));
-    let (mut err, mut mag) = (0.0f64, 0.0f64);
-    for (e, v) in exact.iter().zip(&out) {
-        err += (*e as f64 - *v as f64).abs();
-        mag += (*e as f64).abs();
-    }
-    if err > 0.5 * mag + 1e-3 {
-        eprintln!("blockfp validation failed: scale blowup at {size}^3 (err {err} vs mag {mag})");
-        std::process::exit(1);
-    }
+    let err: f64 = exact.iter().zip(&out).map(|(e, v)| (*e as f64 - *v as f64).abs()).sum();
+    let mag: f64 = exact.iter().map(|e| (*e as f64).abs()).sum();
+    assert!(err <= 0.5 * mag + 1e-3, "blockfp: scale blowup at {size}^3 (err {err} vs mag {mag})");
     let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
     let golden = bits(&out);
     let repeat = bits(&run(&|c| engine.execute(&a, &b, c, m, k, n)));
-    if repeat != golden {
-        eprintln!("blockfp validation failed: repeated runs diverged at {size}^3");
-        std::process::exit(1);
-    }
+    assert!(repeat == golden, "blockfp: repeated runs diverged at {size}^3");
     for chunk_rows in [1usize, 7, m] {
         let chunked = bits(&run(&|c| engine.execute_chunked(&a, &b, c, m, k, n, chunk_rows)));
-        if chunked != golden {
-            eprintln!("blockfp validation failed: chunk_rows {chunk_rows} diverged at {size}^3");
-            std::process::exit(1);
-        }
+        assert!(chunked == golden, "blockfp: chunk_rows {chunk_rows} diverged at {size}^3");
     }
 }
 
-struct Cell {
-    size: usize,
-    backend: String,
-    variant: &'static str,
-    best_ns: u128,
-    median_ns: u128,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Best reference time for a cell's (size, backend) group.
-fn reference_ns(cells: &[Cell], cell: &Cell) -> u128 {
-    cells
-        .iter()
-        .find(|c| c.size == cell.size && c.backend == cell.backend && c.variant == "reference")
-        .map(|c| c.best_ns)
-        .unwrap_or(0)
-}
-
-/// The dispatch guard: at guarded sizes, no emitted non-reference row
-/// may lose more than 5% to the naive reference — if one does, the
-/// dispatch layer (or a kernel) has regressed. Exits non-zero.
-fn enforce_dispatch_guard(cells: &[Cell]) {
-    let mut failed = false;
-    for cell in cells.iter().filter(|c| c.size >= GUARD_MIN_SIZE && c.variant != "reference") {
-        let reference = reference_ns(cells, cell);
-        if reference == 0 || cell.best_ns == 0 {
-            continue;
-        }
-        let speedup = reference as f64 / cell.best_ns as f64;
-        if speedup < 0.95 {
-            eprintln!(
-                "dispatch guard failed: {}^3 {} {} at {speedup:.3}x vs reference",
-                cell.size, cell.backend, cell.variant
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_gemm.json".into());
+fn main() -> ExitCode {
+    let (quick, out) = harness::args("BENCH_gemm.json");
     let (sizes, reps): (&[usize], usize) = if quick { (&[16, 32], 3) } else { (&[64, 256], 5) };
+    let header = vec![("threads", rayon::current_num_threads()), ("reps_per_cell", reps)];
+    let mut report = Report::new("daism-bench-gemm/2", "bench_gemm_json", quick, header);
 
-    let backends: Vec<(&str, Box<dyn ScalarMul>)> = vec![
-        ("exact_f32", Box::new(daism_core::ExactMul)),
+    let muls: [(&str, Box<dyn ScalarMul>); 4] = [
+        ("exact_f32", Box::new(ExactMul)),
         ("bf16_pc3_tr", Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16))),
         ("quantized_exact_bf16", Box::new(QuantizedExactMul::new(FpFormat::BF16))),
         ("fp32_pc3_tr", Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::FP32))),
     ];
-
     let blockfp = BlockFpGemm::new(MultiplierConfig::PC3_TR, BLOCKFP_WIDTH);
-    let blockfp_name = format!("blockfp_w{BLOCKFP_WIDTH}_pc3_tr");
-    let mut cells: Vec<Cell> = Vec::new();
+    let mut backends: Vec<(String, Vec<Variant>)> =
+        muls.iter().map(|(name, mul)| (name.to_string(), float_variants(mul.as_ref()))).collect();
+    backends.push((format!("blockfp_w{BLOCKFP_WIDTH}_pc3_tr"), blockfp_variants(&blockfp)));
+
     for &size in sizes {
-        for (bname, backend) in &backends {
-            for (vname, f) in VARIANTS {
-                let (best, median) = time_cell(*f, backend.as_ref(), size, reps);
-                eprintln!("{size}^3 {bname:>20} {vname:>11}: best {best} ns, median {median} ns");
-                cells.push(Cell {
-                    size,
-                    backend: (*bname).to_string(),
-                    variant: vname,
-                    best_ns: best,
-                    median_ns: median,
-                });
+        validate_blockfp(&blockfp, size);
+        let floor = if size >= GUARD_MIN_SIZE { 0.95 } else { 0.0 };
+        let (a, b) = harness::test_operands(size, size, size);
+        let mut c = vec![0.0f32; size * size];
+        for (backend, variants) in &backends {
+            for (variant, f) in variants {
+                let timing = harness::time(reps, || f(&a, &b, &mut c, size));
+                let id = vec![
+                    ("size", size.to_string()),
+                    ("backend", quoted(backend)),
+                    ("variant", quoted(variant)),
+                ];
+                report.record(Row::new(id, timing).vs("variant", "reference", floor));
             }
         }
-        validate_blockfp(&blockfp, size);
-        for (vname, f) in BLOCKFP_VARIANTS {
-            let (best, median) = time_blockfp_cell(*f, &blockfp, size, reps);
-            eprintln!(
-                "{size}^3 {blockfp_name:>20} {vname:>11}: best {best} ns, median {median} ns"
-            );
-            cells.push(Cell {
-                size,
-                backend: blockfp_name.clone(),
-                variant: vname,
-                best_ns: best,
-                median_ns: median,
-            });
-        }
     }
-
-    enforce_dispatch_guard(&cells);
-
-    // Hand-rolled JSON (no serde in the offline container).
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"daism-bench-gemm/2\",\n");
-    json.push_str("  \"emitter\": \"bench_gemm_json\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"threads\": {},\n", rayon_threads()));
-    json.push_str(&format!("  \"reps_per_cell\": {reps},\n"));
-    json.push_str("  \"results\": [\n");
-    for (i, cell) in cells.iter().enumerate() {
-        let reference = reference_ns(&cells, cell);
-        let speedup = if cell.best_ns == 0 { 0.0 } else { reference as f64 / cell.best_ns as f64 };
-        json.push_str(&format!(
-            "    {{\"size\": {}, \"backend\": \"{}\", \"variant\": \"{}\", \
-             \"best_ns\": {}, \"median_ns\": {}, \"speedup_vs_reference\": {:.3}}}{}\n",
-            cell.size,
-            json_escape(&cell.backend),
-            cell.variant,
-            cell.best_ns,
-            cell.median_ns,
-            speedup,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-}
-
-fn rayon_threads() -> usize {
-    rayon::current_num_threads()
+    report.finish(&out)
 }

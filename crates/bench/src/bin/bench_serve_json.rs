@@ -11,12 +11,13 @@
 //! cargo run --release -p daism-bench --bin bench_serve_json -- --out path.json
 //! ```
 //!
-//! The measurement itself lives in [`daism_bench::serve`]; each backend
-//! validates compiled output == eager output bit-for-bit before any
-//! timing (a panic there fails CI louder than any guard).
+//! The measurement and its guards live in [`daism_bench::serve`]; each
+//! backend validates compiled output == eager output bit-for-bit before
+//! any timing (a panic there fails CI louder than any guard).
 //!
-//! # Guards (CI gates, non-zero exit on violation; full sizes only —
-//! quick cells run in microseconds and timing noise swamps any margin)
+//! # Guards (CI gates, non-zero exit after the JSON is written; full
+//! sizes only — quick cells run in microseconds and timing noise swamps
+//! any margin)
 //!
 //! * **Throughput guard**: at batch ≥ 8 no backend's compiled mode may
 //!   measure below 0.95× its eager requests/sec — persisting the packed
@@ -27,94 +28,10 @@
 //!   per-request B re-decode hurts most, and the compiled path does
 //!   none of it.
 
-use daism_bench::serve;
+use daism_bench::{harness, serve};
+use std::process::ExitCode;
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Both guards over the full-size rows; exits non-zero on violation.
-fn enforce_guards(result: &serve::ServeResult) {
-    let mut failed = false;
-    for row in result.rows.iter().filter(|r| r.mode == "compiled") {
-        let Some(eager) = result.eager_of(row) else { continue };
-        if row.best_ns == 0 || eager.best_ns == 0 {
-            continue;
-        }
-        let speedup = eager.best_ns as f64 / row.best_ns as f64;
-        if row.batch >= 8 && speedup < 0.95 {
-            eprintln!(
-                "serve guard failed: {} batch {} compiled at {speedup:.3}x vs eager",
-                row.backend, row.batch
-            );
-            failed = true;
-        }
-        let approximate = row.backend.starts_with("bf16") || row.backend.starts_with("blockfp");
-        if row.batch == 1 && approximate && speedup < 1.0 {
-            eprintln!(
-                "serve guard failed: {} batch-1 compiled latency lost to eager ({speedup:.3}x) — \
-                 the prepared weights are not being reused",
-                row.backend
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".into());
-
-    let result = serve::run(quick);
-    eprint!("{result}");
-    if !quick {
-        enforce_guards(&result);
-    }
-
-    // Hand-rolled JSON (no serde in the offline container).
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"daism-bench-serve/1\",\n");
-    json.push_str("  \"emitter\": \"bench_serve_json\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"model_dim\": {},\n", result.dim));
-    json.push_str(&format!("  \"threads\": {},\n", result.threads));
-    json.push_str("  \"results\": [\n");
-    for (i, row) in result.rows.iter().enumerate() {
-        let speedup = result
-            .eager_of(row)
-            .filter(|_| row.mode == "compiled")
-            .map(|eager| eager.best_ns as f64 / row.best_ns.max(1) as f64);
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"mode\": \"{}\", \"batch\": {}, \"requests\": {}, \
-             \"best_ns\": {}, \"median_ns\": {}, \"ns_per_request\": {}, \
-             \"requests_per_sec\": {:.1}{}}}{}\n",
-            json_escape(&row.backend),
-            row.mode,
-            row.batch,
-            row.requests,
-            row.best_ns,
-            row.median_ns,
-            row.ns_per_request(),
-            row.requests_per_sec(),
-            speedup.map(|s| format!(", \"speedup_vs_eager\": {s:.3}")).unwrap_or_default(),
-            if i + 1 == result.rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
+fn main() -> ExitCode {
+    let (quick, out) = harness::args("BENCH_serve.json");
+    serve::run(quick).finish(&out)
 }

@@ -34,6 +34,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod format_sweep;
+pub mod harness;
 pub mod par;
 pub mod serve;
 pub mod table1;

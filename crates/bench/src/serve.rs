@@ -12,14 +12,13 @@
 //!
 //! Before timing, each backend's compiled output is validated
 //! bit-identical to its eager output (a wrong cache must never win a
-//! benchmark). The `bench_serve_json` bin wraps this module with JSON
-//! emission (`BENCH_serve.json`) and the CI throughput guard.
+//! benchmark). The `bench_serve_json` bin writes the resulting report,
+//! guards included, as `BENCH_serve.json`.
 
+use crate::harness::{self, quoted, Report, Row, BLOCKFP_WIDTH};
 use daism_core::{ApproxFpMul, BlockFpGemm, ExactMul, MultiplierConfig, ScalarMul};
 use daism_dnn::{models, Layer, Sequential, Tensor};
 use daism_num::FpFormat;
-use std::fmt;
-use std::time::Instant;
 
 /// Input feature width of the serving model (also its hidden width).
 fn model_dim(quick: bool) -> usize {
@@ -30,12 +29,11 @@ fn model_dim(quick: bool) -> usize {
     }
 }
 
+/// Timed repetitions per cell.
+const REPS: usize = 3;
+
 /// Output classes of the serving model.
 const CLASSES: usize = 16;
-
-/// `man_width` for the BlockFp serving engine (matches the
-/// `bench_gemm_json` blockfp rows).
-const BLOCKFP_WIDTH: u32 = 9;
 
 /// The serving model: two 256-wide (or 32-wide in quick mode) hidden
 /// Dense layers — the "256³-class" GEMM shape per request at batch
@@ -45,104 +43,22 @@ fn serve_model(quick: bool) -> Sequential {
     models::mlp(dim, dim, CLASSES, 2)
 }
 
-/// One timed cell of the experiment.
-#[derive(Debug, Clone)]
-pub struct ServeRow {
-    /// Backend name (`exact_f32`, `bf16_pc3_tr`, `blockfp_w9_pc3_tr`, …).
-    pub backend: String,
-    /// `"eager"`, `"compiled"`, or `"compile"` (the one-time snapshot
-    /// cost, amortised across every subsequent request).
-    pub mode: &'static str,
-    /// Samples per request (0 for `compile` rows).
-    pub batch: usize,
-    /// Requests served per timed repetition (1 for `compile` rows).
-    pub requests: usize,
-    /// Best-of-reps wall time for the whole request stream.
-    pub best_ns: u128,
-    /// Median-of-reps wall time.
-    pub median_ns: u128,
-}
-
-impl ServeRow {
-    /// Nanoseconds per request at the best repetition.
-    pub fn ns_per_request(&self) -> u128 {
-        self.best_ns / self.requests.max(1) as u128
-    }
-
-    /// Requests per second at the best repetition.
-    pub fn requests_per_sec(&self) -> f64 {
-        if self.best_ns == 0 {
-            0.0
-        } else {
-            self.requests as f64 / (self.best_ns as f64 * 1e-9)
-        }
-    }
-}
-
-/// The full experiment result.
-#[derive(Debug, Clone)]
-pub struct ServeResult {
-    /// Quick (CI smoke) sizes?
-    pub quick: bool,
-    /// Hidden/input width of the served model.
-    pub dim: usize,
-    /// Worker threads available during the run.
-    pub threads: usize,
-    /// All timed cells.
-    pub rows: Vec<ServeRow>,
-}
-
-impl ServeResult {
-    /// The eager twin of a compiled row, if present.
-    pub fn eager_of(&self, row: &ServeRow) -> Option<&ServeRow> {
-        self.rows
-            .iter()
-            .find(|r| r.backend == row.backend && r.batch == row.batch && r.mode == "eager")
-    }
-}
-
-impl fmt::Display for ServeResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "serving throughput, dim {} ({} threads){}:",
-            self.dim,
-            self.threads,
-            if self.quick { " [quick]" } else { "" }
-        )?;
-        writeln!(
-            f,
-            "{:>20} {:>9} {:>6} {:>14} {:>12}",
-            "backend", "mode", "batch", "ns/request", "req/s"
-        )?;
-        for row in &self.rows {
-            writeln!(
-                f,
-                "{:>20} {:>9} {:>6} {:>14} {:>12.1}",
-                row.backend,
-                row.mode,
-                row.batch,
-                row.ns_per_request(),
-                row.requests_per_sec()
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Times `reps` repetitions of `f` after one warm-up call, returning
-/// `(best_ns, median_ns)`.
-fn time_reps(reps: usize, mut f: impl FnMut()) -> (u128, u128) {
-    f(); // warm-up: LUT build, pool spawn, allocator steady state
-    let mut samples: Vec<u128> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    (samples[0], samples[samples.len() / 2])
+/// One timed cell: `mode` is `"eager"`, `"compiled"`, or `"compile"`
+/// (the one-time snapshot cost, amortised across every subsequent
+/// request; batch 0, one request).
+fn row(backend: &str, mode: &str, batch: usize, requests: usize, timing: (u128, u128)) -> Row {
+    let best_ns = timing.0;
+    let requests_per_sec =
+        if best_ns == 0 { 0.0 } else { requests as f64 / (best_ns as f64 * 1e-9) };
+    let id = vec![
+        ("backend", quoted(backend)),
+        ("mode", quoted(mode)),
+        ("batch", batch.to_string()),
+        ("requests", requests.to_string()),
+    ];
+    Row::new(id, timing)
+        .derived("ns_per_request", (best_ns / requests.max(1) as u128).to_string())
+        .derived("requests_per_sec", format!("{requests_per_sec:.1}"))
 }
 
 /// Deterministic request stream: `count` inputs of `batch × dim`.
@@ -182,10 +98,9 @@ fn validate_bits(eager: &Tensor, compiled: &Tensor, backend: &str) {
 /// path — keeping the protocol in one place so the backends' rows can
 /// never skew apart.
 fn run_backend<'b>(
-    rows: &mut Vec<ServeRow>,
+    report: &mut Report,
     backend: &str,
     quick: bool,
-    reps: usize,
     compile: &dyn Fn(&Sequential) -> daism_dnn::CompiledModel<'b>,
     eager_forward: &mut dyn FnMut(&Tensor) -> Tensor,
 ) {
@@ -195,57 +110,48 @@ fn run_backend<'b>(
     let compiled = compile(&compile_model);
     validate_bits(&eager_forward(&probe), &compiled.forward(&probe), backend);
 
-    let (compile_best, compile_median) = time_reps(reps, || {
+    let timing = harness::time(REPS, || {
         std::hint::black_box(compile(&compile_model));
     });
-    rows.push(ServeRow {
-        backend: backend.to_string(),
-        mode: "compile",
-        batch: 0,
-        requests: 1,
-        best_ns: compile_best,
-        median_ns: compile_median,
-    });
+    report.record(row(backend, "compile", 0, 1, timing));
 
+    // The CI guards, at full sizes only (quick cells run in microseconds
+    // and timing noise swamps any margin): compiled serving at ≥ 0.95×
+    // eager at batch ≥ 8, and beating eager outright at batch 1 on the
+    // approximate backends.
+    let approximate = backend.starts_with("bf16") || backend.starts_with("blockfp");
     let batches: &[usize] = if quick { &[1, 4] } else { &[1, 8, 32] };
     for &batch in batches {
+        let floor = match batch {
+            _ if quick => 0.0,
+            8.. => 0.95,
+            1 if approximate => 1.0,
+            _ => 0.0,
+        };
         let count = requests_for(quick, batch);
         let stream = request_stream(count, batch, dim);
-        let (best, median) = time_reps(reps, || {
+        let timing = harness::time(REPS, || {
             for x in &stream {
                 std::hint::black_box(eager_forward(x));
             }
         });
-        rows.push(ServeRow {
-            backend: backend.to_string(),
-            mode: "eager",
-            batch,
-            requests: count,
-            best_ns: best,
-            median_ns: median,
-        });
-        let (best, median) = time_reps(reps, || {
+        report.record(row(backend, "eager", batch, count, timing));
+        let timing = harness::time(REPS, || {
             for x in &stream {
                 std::hint::black_box(compiled.forward(x));
             }
         });
-        rows.push(ServeRow {
-            backend: backend.to_string(),
-            mode: "compiled",
-            batch,
-            requests: count,
-            best_ns: best,
-            median_ns: median,
-        });
+        report.record(row(backend, "compiled", batch, count, timing).vs("mode", "eager", floor));
     }
 }
 
 /// Runs the whole experiment: every backend × {eager, compiled} ×
 /// batch {1, 8, 32} (quick mode: {1, 4} at 32-wide layers), with a
-/// bit-identity validation per backend before any timing.
-pub fn run(quick: bool) -> ServeResult {
-    let reps = 3;
-    let mut rows = Vec::new();
+/// bit-identity validation per backend before any timing. Compiled rows
+/// carry their speedup over the eager row at the same batch.
+pub fn run(quick: bool) -> Report {
+    let header = vec![("model_dim", model_dim(quick)), ("threads", rayon::current_num_threads())];
+    let mut report = Report::new("daism-bench-serve/1", "bench_serve_json", quick, header);
     let scalars: [(&str, Box<dyn ScalarMul>); 2] = [
         ("exact_f32", Box::new(ExactMul)),
         ("bf16_pc3_tr", Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16))),
@@ -253,10 +159,9 @@ pub fn run(quick: bool) -> ServeResult {
     for (name, mul) in &scalars {
         let mut eager_model = serve_model(quick);
         run_backend(
-            &mut rows,
+            &mut report,
             name,
             quick,
-            reps,
             &|m: &Sequential| m.compile(mul.as_ref()),
             &mut |x| eager_model.forward(x, mul.as_ref(), false),
         );
@@ -264,14 +169,13 @@ pub fn run(quick: bool) -> ServeResult {
     let engine = BlockFpGemm::new(MultiplierConfig::PC3_TR, BLOCKFP_WIDTH);
     let mut eager_model = serve_model(quick);
     run_backend(
-        &mut rows,
+        &mut report,
         &format!("blockfp_w{BLOCKFP_WIDTH}_pc3_tr"),
         quick,
-        reps,
         &|m: &Sequential| m.compile_blockfp(&engine),
         &mut |x| eager_model.forward_blockfp(x, &engine),
     );
-    ServeResult { quick, dim: model_dim(quick), threads: rayon::current_num_threads(), rows }
+    report
 }
 
 #[cfg(test)]
@@ -280,19 +184,32 @@ mod tests {
 
     #[test]
     fn quick_run_produces_all_cells() {
-        let result = run(true);
-        assert!(result.quick);
+        let report = run(true);
         // 3 backends x (1 compile row + 2 batches x 2 modes).
-        assert_eq!(result.rows.len(), 3 * (1 + 2 * 2));
-        for row in &result.rows {
-            assert!(row.best_ns > 0, "{}/{} timed at 0 ns", row.backend, row.mode);
-            assert!(row.best_ns <= row.median_ns);
-            if row.mode == "compiled" {
-                assert!(result.eager_of(row).is_some(), "compiled row without eager twin");
-            }
-        }
-        let shown = result.to_string();
-        assert!(shown.contains("bf16_pc3_tr"));
-        assert!(shown.contains("compiled"));
+        assert_eq!(report.rows.len(), 3 * (1 + 2 * 2));
+        assert!(report.rows.iter().all(|r| 0 < r.best_ns && r.best_ns <= r.median_ns));
+        // Every compiled row (3 backends x 2 batches) found its eager twin.
+        let with_ratio = report.rows.iter().filter(|r| report.ratio(r).is_some()).count();
+        assert_eq!(with_ratio, 3 * 2);
+    }
+
+    #[test]
+    fn renders_the_committed_serve_line_format() {
+        // Values and expected lines copied from BENCH_serve.json.
+        let mut report = Report::new("daism-bench-serve/1", "bench_serve_json", false, vec![]);
+        report.record(row("exact_f32", "compile", 0, 1, (888880, 944427)));
+        report.record(row("exact_f32", "eager", 1, 48, (18270433, 18930208)));
+        let compiled = row("exact_f32", "compiled", 1, 48, (1725505, 1749950));
+        report.record(compiled.vs("mode", "eager", 0.0));
+        let json = report.to_json();
+        let rows: Vec<&str> = json.lines().skip(5).take(3).collect();
+        assert_eq!(
+            rows,
+            [
+                r#"    {"backend": "exact_f32", "mode": "compile", "batch": 0, "requests": 1, "best_ns": 888880, "median_ns": 944427, "ns_per_request": 888880, "requests_per_sec": 1125.0},"#,
+                r#"    {"backend": "exact_f32", "mode": "eager", "batch": 1, "requests": 48, "best_ns": 18270433, "median_ns": 18930208, "ns_per_request": 380634, "requests_per_sec": 2627.2},"#,
+                r#"    {"backend": "exact_f32", "mode": "compiled", "batch": 1, "requests": 48, "best_ns": 1725505, "median_ns": 1749950, "ns_per_request": 35948, "requests_per_sec": 27817.9, "speedup_vs_eager": 10.588}"#,
+            ]
+        );
     }
 }

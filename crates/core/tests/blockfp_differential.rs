@@ -4,7 +4,8 @@
 //! sweeps over block structure and operand distributions:
 //!
 //! 1. **Bit-identity** — `BlockFpGemm::execute` (and the chunked
-//!    parallel kernel, at every chunk size) must be bit-identical to the
+//!    parallel kernel, at every chunk size, and the prepared-A and
+//!    prepared-B serving paths) must be bit-identical to the
 //!    naive scalar [`BlockFpGemm::reference`] for every multiplier
 //!    configuration, mantissa width in `5..=25`, tile geometry and shape
 //!    — including `m == 1`, `k == 1`, zero dims and
@@ -43,39 +44,35 @@ fn assert_engine_matches_reference(
     k: usize,
     n: usize,
 ) -> Result<(), TestCaseError> {
-    let mut reference = vec![0.0f32; m * n];
-    engine.reference(a, b, &mut reference, m, k, n);
-    let mut tiled = vec![0.0f32; m * n];
-    engine.execute(a, b, &mut tiled, m, k, n);
-    for (i, (r, t)) in reference.iter().zip(&tiled).enumerate() {
-        prop_assert_eq!(
-            r.to_bits(),
-            t.to_bits(),
-            "{} {}x{}x{} tiles ({}, {}) element {}: reference {} vs engine {}",
-            engine.name(),
-            m,
-            k,
-            n,
-            engine.tile_k(),
-            engine.tile_n(),
-            i,
-            r,
-            t
-        );
-    }
+    let run = |f: &dyn Fn(&mut [f32])| {
+        let mut c = vec![0.0f32; m * n];
+        f(&mut c);
+        c
+    };
+    let reference = run(&|c| engine.reference(a, b, c, m, k, n));
+    let mut paths = vec![("execute".to_string(), run(&|c| engine.execute(a, b, c, m, k, n)))];
     for chunk_rows in [1usize, 2, m.max(1), m + 3] {
-        let mut chunked = vec![0.0f32; m * n];
-        engine.execute_chunked(a, b, &mut chunked, m, k, n, chunk_rows);
-        for (i, (r, t)) in reference.iter().zip(&chunked).enumerate() {
+        let chunked = run(&|c| engine.execute_chunked(a, b, c, m, k, n, chunk_rows));
+        paths.push((format!("chunk {chunk_rows}"), chunked));
+    }
+    // The serving paths: one operand quantized ahead of the call.
+    let ap = engine.prepare_a(a, m, k);
+    paths.push(("prepared A".into(), run(&|c| engine.execute_with_prepared_a(&ap, b, c, n))));
+    let bp = engine.prepare_b(b, k, n);
+    paths.push(("prepared B".into(), run(&|c| engine.execute_with_prepared_b(a, &bp, c, m))));
+    for (path, out) in &paths {
+        for (i, (r, t)) in reference.iter().zip(out).enumerate() {
             prop_assert_eq!(
                 r.to_bits(),
                 t.to_bits(),
-                "{} {}x{}x{} chunk {} element {}: reference {} vs chunked {}",
+                "{} {}x{}x{} tiles ({}, {}) {} element {}: reference {} vs engine {}",
                 engine.name(),
                 m,
                 k,
                 n,
-                chunk_rows,
+                engine.tile_k(),
+                engine.tile_n(),
+                path,
                 i,
                 r,
                 t
