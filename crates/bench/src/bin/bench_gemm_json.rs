@@ -21,7 +21,7 @@
 //! * `reference` — the scalar loop, the semantic anchor;
 //! * `microkernel` — the serial lane-packed layer: a [`GemmPlan`] built
 //!   per call and run as one C chunk — the packed register-tile `f32`
-//!   kernel for `exact_f32`, the prepared-panel kernels for the others
+//!   kernel for `exact_f32`, the decoded-tile kernels for the others
 //!   (SoA lanes over the product table for bf16, over subset-OR tables
 //!   for fp32, native multiply plus bit rounding for quantized-exact);
 //! * `parallel` — the auto-dispatched engine ([`gemm`]), which adds the
@@ -30,17 +30,26 @@
 //! For the blockfp backend `tiled` *is* the lane-packed engine (one
 //! chunk spanning all rows); `parallel` adds the worker pool.
 //!
+//! After the square sizes come bf16/PC3_tr rows on three non-square
+//! `mini_vgg` training GEMMs (16-sample batch): conv1's weight gradient
+//! `8×4096×9`, conv2's forward `16×72×1024` and conv2's weight gradient
+//! `16×1024×72` — narrow tiles where operand decoding, not the products,
+//! used to dominate. Their rows carry a `shape` (`m×k×n`) and a `gemm`
+//! name instead of a `size`; `--quick` times conv1's weight gradient at
+//! a 2-sample batch, `8×512×9`.
+//!
 //! Each (size, backend, variant) cell reports the best and median of a
 //! few timed repetitions and its speedup over the same run's reference
 //! (see [`daism_bench::harness`]).
 //!
 //! # Guards (CI gates, non-zero exit)
 //!
-//! * **Dispatch guard**: at sizes ≥ 64³ every non-`reference` row must
-//!   measure `speedup_vs_reference ≥ 0.95` — the dispatch layer must
-//!   never pick a variant that loses to the naive loop (the PR-1/PR-2
-//!   exact-f32 regression this PR fixes). Smaller smoke sizes are below
-//!   timing resolution and are exempt. The JSON is still written.
+//! * **Dispatch guard**: at sizes ≥ 64³, and on the full-size training
+//!   shapes, every non-`reference` row must measure
+//!   `speedup_vs_reference ≥ 0.95` — the dispatch layer must never pick
+//!   a variant that loses to the naive loop (the early exact-f32
+//!   regression stays fixed). Smaller smoke sizes are below timing
+//!   resolution and are exempt. The JSON is still written.
 //! * **BlockFp validation**: before timing, the engine's output is
 //!   checked — all-finite, no scale blowup against the exact f32 GEMM,
 //!   byte-identical across repeats and chunk sizes (the thread-count
@@ -54,20 +63,23 @@ use daism_core::{
 use daism_num::FpFormat;
 use std::process::ExitCode;
 
-/// One timed path: `C += A·B` for square `size³` operands.
-type Variant<'a> = (&'static str, Box<dyn Fn(&[f32], &[f32], &mut [f32], usize) + 'a>);
+/// One timed path: `C[m×n] += A[m×k]·B[k×n]`.
+type Variant<'a> =
+    (&'static str, Box<dyn Fn(&[f32], &[f32], &mut [f32], usize, usize, usize) + 'a>);
 
 fn float_variants(mul: &dyn ScalarMul) -> Vec<Variant<'_>> {
     vec![
-        ("reference", Box::new(|a, b, c, s| gemm_reference(mul, a, b, c, s, s, s))),
+        ("reference", Box::new(|a, b, c, m, k, n| gemm_reference(mul, a, b, c, m, k, n))),
         // B converted tile by tile at plan time, then every tile run over
         // all rows on the calling thread: the serial kernel layer without
         // the thread gate.
         (
             "microkernel",
-            Box::new(|a, b, c, s| GemmPlan::new(mul, b, s, s).run_chunked(mul, a, c, s, s.max(1))),
+            Box::new(|a, b, c, m, k, n| {
+                GemmPlan::new(mul, b, k, n).run_chunked(mul, a, c, m, m.max(1))
+            }),
         ),
-        ("parallel", Box::new(|a, b, c, s| gemm(mul, a, b, c, s, s, s))),
+        ("parallel", Box::new(|a, b, c, m, k, n| gemm(mul, a, b, c, m, k, n))),
     ]
 }
 
@@ -76,15 +88,24 @@ fn float_variants(mul: &dyn ScalarMul) -> Vec<Variant<'_>> {
 /// tiled/parallel are the engine.
 fn blockfp_variants(e: &BlockFpGemm) -> Vec<Variant<'_>> {
     vec![
-        ("whole_matrix", Box::new(|a, b, c, s| e.execute_whole_matrix(a, b, c, s, s, s))),
-        ("reference", Box::new(|a, b, c, s| e.reference(a, b, c, s, s, s))),
+        ("whole_matrix", Box::new(|a, b, c, m, k, n| e.execute_whole_matrix(a, b, c, m, k, n))),
+        ("reference", Box::new(|a, b, c, m, k, n| e.reference(a, b, c, m, k, n))),
         // One chunk spanning all rows: the lane-packed tiled kernel
         // without row parallelism, so the engine win is visible next to
         // `parallel`.
-        ("tiled", Box::new(|a, b, c, s| e.execute_chunked(a, b, c, s, s, s, s.max(1)))),
-        ("parallel", Box::new(|a, b, c, s| e.execute(a, b, c, s, s, s))),
+        ("tiled", Box::new(|a, b, c, m, k, n| e.execute_chunked(a, b, c, m, k, n, m.max(1)))),
+        ("parallel", Box::new(|a, b, c, m, k, n| e.execute(a, b, c, m, k, n))),
     ]
 }
+
+/// The `mini_vgg` training GEMMs (16-sample batch) timed on bf16/PC3_tr,
+/// as `(gemm, m, k, n)`.
+const TRAIN_SHAPES: [(&str, usize, usize, usize); 3] =
+    [("conv1_grad_w", 8, 4096, 9), ("conv2_forward", 16, 72, 1024), ("conv2_grad_w", 16, 1024, 72)];
+
+/// The `--quick` training shape: conv1's weight gradient at a 2-sample
+/// batch.
+const QUICK_TRAIN_SHAPE: (&str, usize, usize, usize) = ("conv1_grad_w", 8, 512, 9);
 
 /// Smallest size the dispatch guard applies to: below this a cell runs
 /// in microseconds and scheduler noise swamps the 5% margin.
@@ -145,7 +166,7 @@ fn main() -> ExitCode {
         let mut c = vec![0.0f32; size * size];
         for (backend, variants) in &backends {
             for (variant, f) in variants {
-                let timing = harness::time(reps, || f(&a, &b, &mut c, size));
+                let timing = harness::time(reps, || f(&a, &b, &mut c, size, size, size));
                 let id = vec![
                     ("size", size.to_string()),
                     ("backend", quoted(backend)),
@@ -153,6 +174,24 @@ fn main() -> ExitCode {
                 ];
                 report.record(Row::new(id, timing).vs("variant", "reference", floor));
             }
+        }
+    }
+
+    let (bf16_name, bf16) = &muls[1];
+    let (shapes, floor) =
+        if quick { (&[QUICK_TRAIN_SHAPE][..], 0.0) } else { (&TRAIN_SHAPES[..], 0.95) };
+    for &(name, m, k, n) in shapes {
+        let (a, b) = harness::test_operands(m, k, n);
+        let mut c = vec![0.0f32; m * n];
+        for (variant, f) in float_variants(bf16.as_ref()) {
+            let timing = harness::time(reps, || f(&a, &b, &mut c, m, k, n));
+            let id = vec![
+                ("shape", quoted(&format!("{m}x{k}x{n}"))),
+                ("gemm", quoted(name)),
+                ("backend", quoted(bf16_name)),
+                ("variant", quoted(variant)),
+            ];
+            report.record(Row::new(id, timing).vs("variant", "reference", floor));
         }
     }
     report.finish(&out)

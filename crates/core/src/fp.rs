@@ -1,101 +1,174 @@
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::mantissa::{MantissaMultiplier, PreparedMultiplicand};
-use daism_num::{bits, encode_normal_f32, quantize_f32, FpClass, FpFormat, FpScalar};
+use daism_num::{
+    bits, decode_f32, encode_normal_f32, quantize_f32, DecodedF32, FpClass, FpFormat, FpScalar,
+};
 use std::fmt;
+use std::ops::Range;
 
 /// Elements per lane group in the lane-packed approximate multiply
-/// kernel (one [`MantissaMultiplier::mul_lanes`] call per group).
+/// kernel; decoded tile rows are padded to a multiple of it.
 const LANES: usize = 8;
 
-/// Shortest panel on which [`ApproxFpMul::mul_prepared`] builds a
-/// multiplicand's subset-OR tables for a mantissa too wide for the
-/// product table; shorter panels keep the mask-OR chain. Measured on
-/// fp32/PC3_tr GEMMs (`16×72×n`, serial, 2-core x86-64): the two break
-/// even near 48 columns, tables win by 1.3× at 64 and 4× at 1024, the
-/// chain by 2× at 8.
-const OR_TABLE_MIN_COLS: usize = 64;
+/// Fewest active wordlines, summed over the keys of a tile row, for
+/// which [`ApproxFpMul`]'s `mul_decoded` builds a multiplicand's
+/// subset-OR tables for a mantissa too wide for the product table;
+/// rows with fewer keep the mask-OR chain. Building the tables costs a
+/// fixed ~240 ns per multiplicand, the chain ~1.5 ns per active line,
+/// and zero elements have none. Measured with fp32/PC3_tr, serial, on a
+/// 2-core x86-64 host at 2.1 GHz, in ns per A element: random
+/// mantissas (≈9 active lines per element, a quarter of them zero),
+/// chain 258 vs tables 287 at 16 columns and 452 vs 341 at 32;
+/// small-integer operands (one active line), chain 414 vs tables 552
+/// at 128 columns.
+const OR_TABLE_MIN_LINES: u32 = 192;
 
-/// A B row-panel pre-decoded for repeated [`ScalarMul::mul_prepared`]
-/// calls — the operand-conversion work the GEMM engine hoists out of the
-/// MAC loop entirely (one decode per panel *element*, reused by every C
-/// row that consumes the panel).
+/// One tile of a B matrix decoded once for repeated
+/// [`ScalarMul::mul_decoded`] calls — the operand conversion the GEMM
+/// engine hoists out of the MAC loop entirely (one decode per tile
+/// *element*, reused by every C row that consumes the tile).
 ///
-/// Produced by [`ScalarMul::prepare_panel`]; the cached representation
-/// is backend-specific (nothing for native `f32`, quantized operands for
-/// [`QuantizedExactMul`], decoded sign/exponent fields and mantissas —
-/// or, for mantissas too wide for the product table, wordline masks —
-/// for [`ApproxFpMul`]), but every panel also keeps the raw `f32` values
-/// so any backend can fall back to its [`mul_rows`](ScalarMul::mul_rows)
-/// semantics — feeding a panel to a *different* backend is therefore
+/// Filled by [`ScalarMul::decode_tile`], which reuses the buffers of the
+/// previous fill. The cached form is backend-specific: nothing for
+/// native `f32`, quantized operands for [`QuantizedExactMul`], and for
+/// [`ApproxFpMul`] flat lane arrays of decoded sign/exponent fields and
+/// multiplier keys. A tile holds no raw values: `mul_decoded` takes them
+/// from the caller and falls back to [`mul_rows`](ScalarMul::mul_rows)
+/// semantics on them, so feeding a tile to a *different* backend is
 /// still correct, just unaccelerated.
-#[derive(Debug, Clone)]
-pub struct PreparedPanel {
-    raw: Vec<f32>,
-    data: PanelData,
+#[derive(Debug, Clone, Default)]
+pub struct DecodedTile {
+    /// Tile rows: the depth of the A segment a multiply consumes.
+    rows: usize,
+    /// Columns per tile row: the length of the raw rows and of the C
+    /// row a multiply accumulates into.
+    cols: usize,
+    data: TileData,
 }
 
-#[derive(Debug, Clone)]
-enum PanelData {
-    /// No per-element cache; `mul_prepared` falls back to `mul_rows` on
-    /// the raw values (the trait default, and native-`f32` backends).
+impl DecodedTile {
+    /// An uncached `rows × cols` tile: multiplies fall back to
+    /// `mul_rows` on the raw values.
+    fn raw(rows: usize, cols: usize) -> Self {
+        DecodedTile { rows, cols, data: TileData::Raw }
+    }
+
+    /// Checks the operands of a multiply against this tile, given the
+    /// raw block's row stride.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not one tile deep, `c` not one tile row long,
+    /// or `raw` too short for the tile.
+    fn check(&self, a: &[f32], raw: &[f32], stride: usize, c: &[f32]) {
+        assert!(a.len() == self.rows && c.len() == self.cols, "operands do not fit the tile");
+        assert!(
+            self.rows == 0 || raw.len() >= (self.rows - 1) * stride + self.cols,
+            "raw block shorter than the tile"
+        );
+    }
+
+    /// Tile row `l` of the raw block `raw` with row stride `stride`.
+    fn raw_row<'a>(&self, raw: &'a [f32], stride: usize, l: usize) -> &'a [f32] {
+        &raw[l * stride..l * stride + self.cols]
+    }
+
+    /// The uncached multiply: one [`ScalarMul::mul_rows`] per nonzero
+    /// `a[l]` against tile row `l`'s raw values, in ascending `l`.
+    fn mul_rows<M: ScalarMul + ?Sized>(
+        &self,
+        mul: &M,
+        a: &[f32],
+        raw: &[f32],
+        stride: usize,
+        c: &mut [f32],
+    ) {
+        for (l, &av) in a.iter().enumerate() {
+            if av != 0.0 {
+                mul.mul_rows(av, self.raw_row(raw, stride, l), c);
+            }
+        }
+    }
+}
+
+#[derive(Debug, Clone, Default)]
+enum TileData {
+    /// No cache; `mul_decoded` falls back to `mul_rows` on the raw
+    /// values (the trait default, and native-`f32` backends).
+    #[default]
     Raw,
     /// [`QuantizedExactMul`] on a format that
-    /// [fits `f32`](FpFormat::fits_f32): operands quantized into
-    /// `format` once, held as the exact `f32` the per-element multiply
+    /// [fits `f32`](FpFormat::fits_f32): the row-major operands quantized
+    /// into `format`, held as the exact `f32` the per-element multiply
     /// consumes.
     Quantized { format: FpFormat, vals: Vec<f32> },
-    /// [`ApproxFpMul`] on a format that fits `f32`.
-    Decoded(DecodedPanel),
+    /// [`ApproxFpMul`] on a format that fits `f32`. The keys depend on
+    /// the multiplier configuration as well as the format.
+    Approx { format: FpFormat, config: MultiplierConfig, lanes: LaneTile },
 }
 
-/// [`ApproxFpMul`]'s panel: operands decoded into `format` once, held as
-/// **structure-of-arrays lanes** so the multiply kernel runs branch-free
-/// over [`LANES`]-wide groups — the multiplier keys the product stage
-/// reads, the exponents/signs the combiner folds, a per-element
-/// accumulate mask (zero bypass as a bit select, not a branch) and a
-/// per-group escape flag for the rare Inf/NaN elements that need the
+/// [`ApproxFpMul`]'s tile as **structure-of-arrays lanes**: one array
+/// per field, of [`LANES`]-wide groups, each tile row padded to whole
+/// groups with zero-select lanes, so the multiply kernel runs
+/// branch-free over every group of a row: the multiplier keys the
+/// product stage reads, the exponents/signs the combiner folds, a
+/// per-element accumulate mask (zero bypass as a bit select, not a
+/// branch) and a per-group flag for the rare elements that need the
 /// exact side logic.
-#[derive(Debug, Clone)]
-struct DecodedPanel {
-    format: FpFormat,
-    /// Per-element multiplier key (`0` for non-normals): the mantissa
-    /// with explicit leading one — the product-table column — when the
-    /// mantissa multiplier has a table (`n ≤ 8`), and otherwise the
-    /// wordline mask `LineLayout::decode` gives for it, so the per-MAC
-    /// product skips the decode.
-    keys: Vec<u32>,
-    /// Unbiased exponents (`0` for non-normals).
-    exps: Vec<i32>,
-    /// Sign bits, pre-shifted to the `f32` sign position.
-    signs: Vec<u32>,
-    /// Accumulate mask: `!0` for `Normal`, `0` for zero bypass — the
-    /// lane kernel keeps the C bits through a select instead of
-    /// branching per element.
-    sel: Vec<u32>,
-    /// Per-[`LANES`]-group flag: the group holds an element that needs
-    /// the exact side logic — Inf/NaN, or a nonzero `f32` that flushes
-    /// to format zero, whose signed-zero product the scalar path
-    /// *accumulates* rather than skips — and must take the scalar
-    /// fallback (covers full groups only; the tail group is always
-    /// scalar).
+#[derive(Debug, Clone, Default)]
+struct LaneTile {
+    /// Per-element multiplier key (`0` for non-normals and padding): the
+    /// mantissa with explicit leading one — the product-table column —
+    /// when the mantissa multiplier has a table (`n ≤ 8`), and otherwise
+    /// the wordline mask `LineLayout::decode` gives for it, so the
+    /// per-MAC product skips the decode.
+    keys: Vec<[u32; LANES]>,
+    /// Unbiased exponents (`0` for non-normals and padding).
+    exps: Vec<[i32; LANES]>,
+    /// Sign bits, at the `f32` sign position.
+    signs: Vec<[u32; LANES]>,
+    /// Accumulate mask: `!0` for `Normal`, `0` for zero bypass and
+    /// padding — the lane kernel keeps the C bits through a select
+    /// instead of branching per element.
+    sel: Vec<[u32; LANES]>,
+    /// Per-group flag: the group holds an element that needs the exact
+    /// side logic — Inf/NaN, or a nonzero `f32` that flushes to format
+    /// zero, whose signed-zero product the scalar path *accumulates*
+    /// rather than skips — and must take the scalar fallback.
     exotic: Vec<bool>,
+    /// Per tile row, the active wordlines its keys select in all (`0`
+    /// when the keys are product-table columns): what choosing between
+    /// the mask-OR chain and subset-OR tables weighs.
+    lines: Vec<u32>,
 }
 
-impl PreparedPanel {
-    /// Number of elements in the panel.
-    pub fn len(&self) -> usize {
-        self.raw.len()
+impl LaneTile {
+    /// Empties the tile and zero-fills `rows` rows of `row_groups` lane
+    /// groups, keeping the allocations.
+    fn reset(&mut self, rows: usize, row_groups: usize) {
+        let groups = rows * row_groups;
+        for v in [&mut self.keys, &mut self.signs, &mut self.sel] {
+            v.clear();
+            v.resize(groups, [0; LANES]);
+        }
+        self.exps.clear();
+        self.exps.resize(groups, [0; LANES]);
+        self.exotic.clear();
+        self.exotic.resize(groups, false);
+        self.lines.clear();
+        self.lines.resize(rows, 0);
     }
+}
 
-    /// `true` if the panel is empty.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
-    /// The raw (undecoded) panel values.
-    pub fn raw(&self) -> &[f32] {
-        &self.raw
-    }
+/// The raw `rows × cols` block of the row-major `b` (row stride `n`),
+/// one slice per row.
+fn tile_rows(
+    b: &[f32],
+    n: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) -> impl Iterator<Item = &[f32]> {
+    rows.map(move |l| &b[l * n + cols.start..l * n + cols.end])
 }
 
 /// A scalar multiplication backend: the seam through which the DNN crates
@@ -148,48 +221,72 @@ pub trait ScalarMul: fmt::Debug + Send + Sync {
         }
     }
 
-    /// Decodes a B row-panel once, ahead of many
-    /// [`mul_prepared`](Self::mul_prepared) calls against it.
+    /// Decodes the `rows × cols` block of the row-major `b` (row stride
+    /// `n`) into `tile` once, ahead of many
+    /// [`mul_decoded`](Self::mul_decoded) calls against it, reusing the
+    /// buffers `tile` already holds.
     ///
     /// This is the second amortisation rung above
     /// [`mul_rows`](Self::mul_rows): `mul_rows` hoists the *A*-operand
-    /// work out of the panel loop, `prepare_panel` hoists the *B*-operand
-    /// decode out of the row loop entirely — the tiled GEMM engine
-    /// prepares each packed `KC×NC` B-panel once and reuses it for every
-    /// C row of the tile, so the per-MAC `FpScalar::from_f32` disappears.
+    /// work out of the row loop, `decode_tile` hoists the *B*-operand
+    /// decode out of the MAC loop entirely — the tiled GEMM engine
+    /// decodes each `KC×NC` tile of B once and reuses it for every C row,
+    /// so no per-MAC operand decode is left.
     ///
-    /// The default keeps only the raw values (correct for every backend);
-    /// approximate backends override it to cache decoded
-    /// sign/exponent/mantissa fields.
-    fn prepare_panel(&self, b: &[f32]) -> PreparedPanel {
-        PreparedPanel { raw: b.to_vec(), data: PanelData::Raw }
-    }
-
-    /// `true` if [`prepare_panel`](Self::prepare_panel) caches a decoded
-    /// representation that [`mul_prepared`](Self::mul_prepared) consumes
-    /// faster than re-deriving it per call. Backends keeping the raw-only
-    /// default return `false`, so the GEMM engine can skip the panel
-    /// allocation + B copy that would buy them nothing.
-    fn supports_prepared_panels(&self) -> bool {
-        false
-    }
-
-    /// [`mul_rows`](Self::mul_rows) against a panel prepared by
-    /// [`prepare_panel`](Self::prepare_panel): `c[j] += mul(a, b[j])` for
-    /// every `j` with `b[j] != 0.0`, with the same zero-bypass contract —
-    /// and the same **bit-identity requirement**: for any panel, the
-    /// result must equal `mul_rows(a, panel.raw(), c)` exactly (the
-    /// equivalence tests and the differential GEMM suite enforce this).
-    ///
-    /// A panel prepared by a *different* backend (or the trait default)
-    /// falls back to the raw values, so it is still correct — just not
-    /// accelerated.
+    /// The default caches nothing (correct for every backend);
+    /// approximate and quantized backends override it.
     ///
     /// # Panics
     ///
-    /// May panic if `panel.len() != c.len()`.
-    fn mul_prepared(&self, a: f32, panel: &PreparedPanel, c: &mut [f32]) {
-        self.mul_rows(a, panel.raw(), c);
+    /// Panics if the block reaches outside `b`.
+    fn decode_tile(
+        &self,
+        b: &[f32],
+        n: usize,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        tile: &mut DecodedTile,
+    ) {
+        assert!(rows.end * n <= b.len() && cols.end <= n, "tile outside B");
+        *tile = DecodedTile::raw(rows.len(), cols.len());
+    }
+
+    /// `true` if [`decode_tile`](Self::decode_tile) caches a decoded
+    /// form that [`mul_decoded`](Self::mul_decoded) consumes faster than
+    /// [`mul_rows`](Self::mul_rows) re-derives it. Backends keeping the
+    /// raw default return `false`, so the GEMM engine skips a decode
+    /// that would buy them nothing.
+    fn decodes_tiles(&self) -> bool {
+        false
+    }
+
+    /// One C row against a tile decoded by
+    /// [`decode_tile`](Self::decode_tile): `c += a · tile`, where `a` is
+    /// the A row segment over the tile's depth and row `l` of the tile's
+    /// raw values is `raw[l * stride..][..c.len()]`. The result must be
+    /// **bit-identical** to `mul_rows(a[l], row l, c)` for every `l` with
+    /// `a[l] != 0.0`, in ascending `l` — the zero bypass on both operands
+    /// included (the equivalence tests and the differential GEMM suite
+    /// enforce this).
+    ///
+    /// A tile decoded by a *different* backend (or the trait default)
+    /// falls back to exactly that `mul_rows` loop on `raw`, so it is
+    /// still correct — just not accelerated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not one tile deep, `c` is not one tile row long,
+    /// or `raw` is too short for the tile.
+    fn mul_decoded(
+        &self,
+        a: &[f32],
+        tile: &DecodedTile,
+        raw: &[f32],
+        stride: usize,
+        c: &mut [f32],
+    ) {
+        tile.check(a, raw, stride, c);
+        tile.mul_rows(self, a, raw, stride, c);
     }
 }
 
@@ -280,35 +377,64 @@ impl ScalarMul for QuantizedExactMul {
         }
     }
 
-    fn prepare_panel(&self, b: &[f32]) -> PreparedPanel {
-        let f = self.format;
-        if !f.fits_f32() {
-            return PreparedPanel { raw: b.to_vec(), data: PanelData::Raw };
+    fn decode_tile(
+        &self,
+        b: &[f32],
+        n: usize,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        tile: &mut DecodedTile,
+    ) {
+        let format = self.format;
+        if !format.fits_f32() {
+            // Other formats keep the raw default: nothing cheap to cache.
+            *tile = DecodedTile::raw(rows.len(), cols.len());
+            return;
         }
-        let vals = b.iter().map(|&bv| quantize_f32(bv, f)).collect();
-        PreparedPanel { raw: b.to_vec(), data: PanelData::Quantized { format: f, vals } }
+        let mut vals = match std::mem::take(&mut tile.data) {
+            TileData::Quantized { vals, .. } => vals,
+            _ => Vec::new(),
+        };
+        vals.clear();
+        for row in tile_rows(b, n, rows.clone(), cols.clone()) {
+            vals.extend(row.iter().map(|&x| quantize_f32(x, format)));
+        }
+        let data = TileData::Quantized { format, vals };
+        *tile = DecodedTile { rows: rows.len(), cols: cols.len(), data };
     }
 
-    fn supports_prepared_panels(&self) -> bool {
-        // Other formats keep the raw fallback in `prepare_panel`.
+    fn decodes_tiles(&self) -> bool {
         self.format.fits_f32()
     }
 
-    fn mul_prepared(&self, a: f32, panel: &PreparedPanel, c: &mut [f32]) {
-        let PanelData::Quantized { format, vals } = &panel.data else {
-            return self.mul_rows(a, panel.raw(), c);
+    fn mul_decoded(
+        &self,
+        a: &[f32],
+        tile: &DecodedTile,
+        raw: &[f32],
+        stride: usize,
+        c: &mut [f32],
+    ) {
+        tile.check(a, raw, stride, c);
+        let f = self.format;
+        let vals = match &tile.data {
+            TileData::Quantized { format, vals } if *format == f => vals,
+            _ => return tile.mul_rows(self, a, raw, stride, c),
         };
-        if *format != self.format {
-            return self.mul_rows(a, panel.raw(), c);
-        }
-        debug_assert_eq!(panel.len(), c.len(), "panel length mismatch");
-        // The cached `yq` is exactly the value `mul_rows` re-derives per
-        // element; only the native multiply and the result rounding
-        // remain in the loop, with the zero bypass as a select.
-        let xq = quantize_f32(a, *format);
-        for ((cv, bv), yq) in c.iter_mut().zip(panel.raw()).zip(vals) {
-            let p = quantize_f32(xq * yq, *format);
-            *cv = if *bv != 0.0 { *cv + p } else { *cv };
+        for (l, &av) in a.iter().enumerate() {
+            if av == 0.0 {
+                continue; // zero bypass, as the hardware does
+            }
+            let yqs = &vals[l * tile.cols..(l + 1) * tile.cols];
+            // The cached `yq` is exactly the value `mul_rows` re-derives
+            // per element; only the native multiply and the result
+            // rounding remain in the loop, with the zero bypass as a
+            // select.
+            let xq = quantize_f32(av, f);
+            for ((cv, bv), yq) in c.iter_mut().zip(tile.raw_row(raw, stride, l)).zip(yqs) {
+                let p = quantize_f32(xq * yq, f);
+                *cv = if *bv != 0.0 { *cv + p } else { *cv };
+            }
         }
     }
 }
@@ -458,22 +584,14 @@ impl ApproxFpMul {
         FpScalar::from_parts(sign, exp, man, self.format)
     }
 
-    /// [`combine_raw`](Self::combine_raw) fused with the `f32` encode,
-    /// skipping the `FpScalar` round-trip (and its `powi`): same
+    /// [`combine_raw`](Self::combine_raw) fused with the `f32` encode, on
+    /// parts: takes the already-XORed sign and already-summed exponent,
+    /// so decoded operands feed it without materialising `FpScalar`s, and
+    /// skips the `FpScalar` round-trip (and its `powi`). Same
     /// normalisation, same saturation, same panic on a denormalised
     /// read-out — **bit-identical** results, asserted by the
     /// `mul_rows`-vs-`mul` equivalence tests. Only valid when
-    /// `self.format.fits_f32()` (checked by the caller).
-    #[inline]
-    fn combine_raw_to_f32(&self, x: &FpScalar, y: &FpScalar, raw: u64) -> f32 {
-        self.fuse_combine(x.sign() ^ y.sign(), x.exponent() + y.exponent(), raw)
-    }
-
-    /// The parts-level core of [`combine_raw_to_f32`](Self::combine_raw_to_f32):
-    /// takes the already-XORed sign and already-summed exponent, so the
-    /// prepared-panel path can feed cached fields without materialising
-    /// `FpScalar`s. Only valid when `self.format.fits_f32()` (checked by
-    /// callers).
+    /// `self.format.fits_f32()` (checked by callers).
     #[inline]
     fn fuse_combine(&self, sign: bool, exp_sum: i32, raw: u64) -> f32 {
         if raw == 0 {
@@ -518,15 +636,14 @@ impl ApproxFpMul {
         exps: &[i32; LANES],
         signs: &[u32; LANES],
         sel: &[u32; LANES],
-        xs: &FpScalar,
+        x: &DecodedF32,
         c: &mut [f32; LANES],
     ) {
         let n = self.format.mantissa_width();
         let truncate = self.mult.config().truncate;
         let (max_exp, min_exp) = (self.format.max_exp(), self.format.min_exp());
         let frac_mask = bits::mask(n - 1) as u32;
-        let xsign = (xs.sign() as u32) << 31;
-        let xexp = xs.exponent();
+        let (xsign, xexp) = (x.sign, x.exp);
         for j in 0..LANES {
             let raw = raws[j];
             // `fuse_combine`'s branch structure as selects: the top
@@ -560,75 +677,111 @@ impl ApproxFpMul {
     }
 
     /// The scalar per-element multiply-accumulate over a slice of raw B
-    /// values with the multiplicand already decoded and prepared — the
-    /// fallback the lane kernel escapes to for Inf/NaN groups and tail
-    /// elements, and the body of the batched `mul_rows` fast path. Only
-    /// valid when `self.format.fits_f32()` and `xs` is `Normal` (checked
-    /// by callers).
+    /// values with the multiplicand `a` already decoded (`x`) and
+    /// prepared — the fallback the lane kernel escapes to for exotic
+    /// groups, and the body of the batched `mul_rows` fast path. Only
+    /// valid when `self.format.fits_f32()` and `x` is normal (checked by
+    /// callers).
     fn mul_prepared_scalar_chunk(
         &self,
-        xs: &FpScalar,
+        a: f32,
+        x: &DecodedF32,
         prep: &PreparedMultiplicand,
         bs: &[f32],
         c: &mut [f32],
     ) {
-        for (cv, bv) in c.iter_mut().zip(bs) {
-            if *bv == 0.0 {
+        for (cv, &bv) in c.iter_mut().zip(bs) {
+            if bv == 0.0 {
                 continue; // zero bypass (§III-C) — never touches the array
             }
-            let ys = FpScalar::from_f32(*bv, self.format);
-            *cv += if ys.class() == FpClass::Normal {
-                let raw = self.mult.multiply_prepared_trusted(prep, ys.mantissa());
-                self.combine_raw_to_f32(xs, &ys, raw)
+            let y = decode_f32(bv, self.format);
+            *cv += if y.normal != 0 {
+                let raw = self.mult.multiply_prepared_trusted(prep, y.man as u64);
+                self.fuse_combine(x.sign != y.sign, x.exp + y.exp, raw)
             } else {
-                self.mul_scalars(xs, &ys).to_f32()
+                // Inf/NaN, or a nonzero that flushes: exact side logic.
+                self.mul(a, bv)
             };
         }
     }
 
-    /// The decoded-panel kernel: `c[j] += mul(a, b[j])` over a
-    /// [`DecodedPanel`], with `product` turning a cached multiplier key
-    /// into the raw mantissa read-out for the prepared `a`. Renormalise,
-    /// saturation and the zero bypass are selects over fixed-width lanes
-    /// ([`combine_lanes`](Self::combine_lanes)), so each group
-    /// vectorizes; Inf/NaN or flushed-nonzero groups and the tail take
-    /// the scalar fallback. Every step computes exactly the value the
-    /// scalar path computes, so results stay bit-identical (the
-    /// prepared-vs-`mul_rows` equivalence tests and the differential
-    /// GEMM suite enforce this). Only valid when
-    /// `self.format.fits_f32()` and `xs` is `Normal`.
+    /// The decoded-tile kernel: `c[j] += mul(a, raw[j])` over one tile
+    /// row — `row` is the tile's lanes and the row's first group index —
+    /// with `product` turning a cached multiplier key into the raw
+    /// mantissa read-out for the prepared `a`, one lane group at a time
+    /// ([`mac_group`](Self::mac_group)). The padded tail group runs the
+    /// same lanes as the full ones.
+    #[allow(clippy::too_many_arguments)] // internal kernel seam: operand, decode, tile row, C
     fn mac_decoded(
         &self,
-        xs: &FpScalar,
+        a: f32,
+        x: &DecodedF32,
         prep: &PreparedMultiplicand,
         raw: &[f32],
-        dec: &DecodedPanel,
+        row: (&LaneTile, usize),
         c: &mut [f32],
         product: impl Fn(u32) -> u64,
     ) {
         let groups = c.len() / LANES;
-        let (head, tail) = c.split_at_mut(groups * LANES);
-        for (g, cch) in head.chunks_exact_mut(LANES).enumerate() {
-            let base = g * LANES;
-            if dec.exotic[g] {
-                self.mul_prepared_scalar_chunk(xs, prep, &raw[base..base + LANES], cch);
-                continue;
-            }
-            // Fixed-width array views: index-free lanes the compiler can
-            // keep in vector registers.
-            let lanes = base..base + LANES;
-            let cch: &mut [f32; LANES] = cch.try_into().expect("lane group");
-            let kch: &[u32; LANES] = dec.keys[lanes.clone()].try_into().expect("lane group");
-            let ech: &[i32; LANES] = dec.exps[lanes.clone()].try_into().expect("lane group");
-            let sch: &[u32; LANES] = dec.signs[lanes.clone()].try_into().expect("lane group");
-            let zch: &[u32; LANES] = dec.sel[lanes].try_into().expect("lane group");
-            let mut raws = [0u64; LANES];
-            for (r, &k) in raws.iter_mut().zip(kch) {
-                *r = product(k);
-            }
-            self.combine_lanes(&raws, ech, sch, zch, xs, cch);
+        let mut full = c.chunks_exact_mut(LANES);
+        for (g, cg) in (&mut full).enumerate() {
+            let cg: &mut [f32; LANES] = cg.try_into().expect("lane group");
+            self.mac_group(a, x, prep, raw, row, g, cg, LANES, &product);
         }
-        self.mul_prepared_scalar_chunk(xs, prep, &raw[groups * LANES..], tail);
+        let tail = full.into_remainder();
+        if !tail.is_empty() {
+            // The tail group runs on a padded copy of its C values.
+            // Element-wise copies with a fixed trip count: a `memcpy`
+            // call per tail would cost narrow tiles more than the lanes.
+            let mut lanes = [0.0f32; LANES];
+            for (j, v) in lanes.iter_mut().enumerate() {
+                *v = tail.get(j).copied().unwrap_or(0.0);
+            }
+            self.mac_group(a, x, prep, raw, row, groups, &mut lanes, tail.len(), &product);
+            for (j, v) in lanes.into_iter().enumerate() {
+                if let Some(cv) = tail.get_mut(j) {
+                    *cv = v;
+                }
+            }
+        }
+    }
+
+    /// Lane group `g` of [`mac_decoded`](Self::mac_decoded): `c` holds
+    /// its C values, the first `len` of them real. Renormalise,
+    /// saturation and the zero bypass are selects over fixed-width lanes
+    /// ([`combine_lanes`](Self::combine_lanes)), so the group
+    /// vectorizes — the zero selects of a tail group's padding lanes
+    /// leave them alone — and an exotic group takes the scalar fallback.
+    /// Every step computes exactly the value the scalar path computes,
+    /// so results stay bit-identical (the decoded-vs-`mul_rows`
+    /// equivalence tests and the differential GEMM suite enforce this).
+    /// Only valid when `self.format.fits_f32()` and `x` is normal.
+    // Always inlined, like `combine_lanes`: a call per lane group would
+    // cost the narrow-mantissa kernel.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // internal kernel seam: operand, decode, tile row, C
+    fn mac_group(
+        &self,
+        a: f32,
+        x: &DecodedF32,
+        prep: &PreparedMultiplicand,
+        raw: &[f32],
+        (lanes, row): (&LaneTile, usize),
+        g: usize,
+        c: &mut [f32; LANES],
+        len: usize,
+        product: &impl Fn(u32) -> u64,
+    ) {
+        let gi = row + g;
+        if lanes.exotic[gi] {
+            let cols = g * LANES..g * LANES + len;
+            return self.mul_prepared_scalar_chunk(a, x, prep, &raw[cols], &mut c[..len]);
+        }
+        let mut raws = [0u64; LANES];
+        for (r, &k) in raws.iter_mut().zip(&lanes.keys[gi]) {
+            *r = product(k);
+        }
+        self.combine_lanes(&raws, &lanes.exps[gi], &lanes.signs[gi], &lanes.sel[gi], x, c);
     }
 }
 
@@ -645,134 +798,153 @@ impl ScalarMul for ApproxFpMul {
 
     fn mul_rows(&self, a: f32, b: &[f32], c: &mut [f32]) {
         // Decode the reused operand and derive its line patterns (or
-        // table row) once per panel — this is the batched fast path the
+        // table row) once per row — this is the batched fast path the
         // GEMM engine exists for. Every per-element step below matches
         // `mul_scalars` exactly, keeping results bit-identical.
-        let xs = FpScalar::from_f32(a, self.format);
-        if xs.class() != FpClass::Normal {
-            // Zero / NaN / Inf multiplicand: rare, handled by the exact
-            // side logic — no mantissa work to hoist.
-            for (cv, bv) in c.iter_mut().zip(b) {
-                if *bv != 0.0 {
-                    *cv += self.mul_scalars(&xs, &FpScalar::from_f32(*bv, self.format)).to_f32();
-                }
-            }
-            return;
-        }
-        let prep = self.mult.prepare(xs.mantissa());
         if self.format.fits_f32() {
-            self.mul_prepared_scalar_chunk(&xs, &prep, b, c);
+            let x = decode_f32(a, self.format);
+            if x.normal != 0 {
+                let prep = self.mult.prepare(x.man as u64);
+                return self.mul_prepared_scalar_chunk(a, &x, &prep, b, c);
+            }
+        } else {
+            let xs = FpScalar::from_f32(a, self.format);
+            if xs.class() == FpClass::Normal {
+                let prep = self.mult.prepare(xs.mantissa());
+                for (cv, &bv) in c.iter_mut().zip(b) {
+                    if bv == 0.0 {
+                        continue; // zero bypass (§III-C) — never touches the array
+                    }
+                    let ys = FpScalar::from_f32(bv, self.format);
+                    let product = if ys.class() == FpClass::Normal {
+                        let raw = self.mult.multiply_prepared(&prep, ys.mantissa());
+                        self.combine_raw(&xs, &ys, raw)
+                    } else {
+                        self.mul_scalars(&xs, &ys)
+                    };
+                    *cv += product.to_f32();
+                }
+                return;
+            }
+        }
+        // Zero / NaN / Inf multiplicand, or one that flushes: rare,
+        // handled by the exact side logic — no mantissa work to hoist.
+        for (cv, &bv) in c.iter_mut().zip(b) {
+            if bv != 0.0 {
+                *cv += self.mul(a, bv);
+            }
+        }
+    }
+
+    fn decode_tile(
+        &self,
+        b: &[f32],
+        n: usize,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        tile: &mut DecodedTile,
+    ) {
+        let format = self.format;
+        if !format.fits_f32() {
+            // Exotic formats stay on the FpScalar path; nothing cheap to
+            // cache, so keep the raw default.
+            *tile = DecodedTile::raw(rows.len(), cols.len());
             return;
         }
-        for (cv, bv) in c.iter_mut().zip(b) {
-            if *bv == 0.0 {
-                continue; // zero bypass (§III-C) — never touches the array
-            }
-            let ys = FpScalar::from_f32(*bv, self.format);
-            let product = if ys.class() == FpClass::Normal {
-                let raw = self.mult.multiply_prepared(&prep, ys.mantissa());
-                self.combine_raw(&xs, &ys, raw)
-            } else {
-                self.mul_scalars(&xs, &ys)
-            };
-            *cv += product.to_f32();
-        }
-    }
-
-    fn prepare_panel(&self, b: &[f32]) -> PreparedPanel {
-        if !self.format.fits_f32() {
-            // Exotic formats stay on the FpScalar path; nothing cheap to
-            // cache, so keep the raw fallback.
-            return PreparedPanel { raw: b.to_vec(), data: PanelData::Raw };
-        }
-        let len = b.len();
-        let mut keys = Vec::with_capacity(len);
-        let mut exps = Vec::with_capacity(len);
-        let mut signs = Vec::with_capacity(len);
-        let mut sel = Vec::with_capacity(len);
-        let mut exotic = vec![false; len / LANES];
-        for (i, &bv) in b.iter().enumerate() {
-            let ys = FpScalar::from_f32(bv, self.format);
-            match ys.class() {
-                FpClass::Normal => {
-                    keys.push(self.mult.key(ys.mantissa()));
-                    exps.push(ys.exponent());
-                    signs.push((ys.sign() as u32) << 31);
-                    sel.push(u32::MAX);
+        let mut lanes = match std::mem::take(&mut tile.data) {
+            TileData::Approx { lanes, .. } => lanes,
+            _ => LaneTile::default(),
+        };
+        let row_groups = cols.len().div_ceil(LANES);
+        lanes.reset(rows.len(), row_groups);
+        for (r, src) in tile_rows(b, n, rows.clone(), cols.clone()).enumerate() {
+            for (g, xs) in src.chunks(LANES).enumerate() {
+                let gi = r * row_groups + g;
+                let (keys, sel) = (&mut lanes.keys[gi], &mut lanes.sel[gi]);
+                let (exps, signs) = (&mut lanes.exps[gi], &mut lanes.signs[gi]);
+                let dst =
+                    keys.iter_mut().zip(exps.iter_mut()).zip(signs.iter_mut()).zip(sel.iter_mut());
+                // A zero select on a nonzero element marks a group whose
+                // exact result the lanes cannot give: an Inf/NaN product,
+                // or the signed zero a flushed element adds to C.
+                let mut odd = 0;
+                for ((((key, exp), sign), sel), &bv) in dst.zip(xs) {
+                    // Zero, flushed and Inf/NaN elements decode to
+                    // mantissa 0, exponent 0 and a cleared select: the
+                    // lane keeps C.
+                    let y = decode_f32(bv, format);
+                    *key = y.man;
+                    *exp = y.exp;
+                    *sign = y.sign;
+                    *sel = y.normal;
+                    odd |= (bv.to_bits() << 1) & !y.normal;
                 }
-                FpClass::Zero => {
-                    // Zero bypass: key 0 reads product 0, and the zeroed
-                    // select mask keeps C untouched — exactly the scalar
-                    // path's `bv == 0.0` skip.
-                    keys.push(0);
-                    exps.push(0);
-                    signs.push(0);
-                    sel.push(0);
-                    if bv != 0.0 {
-                        // A nonzero f32 that *flushes* to format zero
-                        // (subnormal, or below the format's min
-                        // exponent): the scalar path does NOT skip it —
-                        // it accumulates the signed-zero product, which
-                        // can flip a -0.0 accumulator to +0.0. Route
-                        // the group to the scalar fallback so the lane
-                        // path stays bit-identical.
-                        if let Some(flag) = exotic.get_mut(i / LANES) {
-                            *flag = true;
-                        }
+                if !self.mult.has_table() {
+                    for (key, &sel) in keys.iter_mut().zip(sel.iter()) {
+                        *key = self.mult.key(*key as u64) & sel;
+                        lanes.lines[r] += key.count_ones();
                     }
                 }
-                FpClass::Inf | FpClass::Nan => {
-                    keys.push(0);
-                    exps.push(0);
-                    signs.push(0);
-                    sel.push(0);
-                    if let Some(flag) = exotic.get_mut(i / LANES) {
-                        *flag = true; // whole group escapes to scalar
-                    }
-                }
+                lanes.exotic[gi] = odd != 0;
             }
         }
-        let decoded = DecodedPanel { format: self.format, keys, exps, signs, sel, exotic };
-        PreparedPanel { raw: b.to_vec(), data: PanelData::Decoded(decoded) }
+        let data = TileData::Approx { format, config: self.config(), lanes };
+        *tile = DecodedTile { rows: rows.len(), cols: cols.len(), data };
     }
 
-    fn supports_prepared_panels(&self) -> bool {
-        // Exotic formats keep the raw fallback in `prepare_panel`, so
-        // there is nothing for the engine to amortise.
+    fn decodes_tiles(&self) -> bool {
+        // Exotic formats keep the raw default in `decode_tile`, so there
+        // is nothing for the engine to amortise.
         self.format.fits_f32()
     }
 
-    fn mul_prepared(&self, a: f32, panel: &PreparedPanel, c: &mut [f32]) {
-        let PanelData::Decoded(dec) = &panel.data else {
-            return self.mul_rows(a, panel.raw(), c);
-        };
-        if dec.format != self.format || !self.format.fits_f32() {
-            return self.mul_rows(a, panel.raw(), c);
-        }
-        debug_assert_eq!(panel.len(), c.len(), "panel length mismatch");
-        let xs = FpScalar::from_f32(a, self.format);
-        if xs.class() != FpClass::Normal {
-            // Zero / NaN / Inf multiplicand: rare, exact side logic.
-            for (cv, bv) in c.iter_mut().zip(panel.raw()) {
-                if *bv != 0.0 {
-                    *cv += self.mul_scalars(&xs, &FpScalar::from_f32(*bv, self.format)).to_f32();
-                }
+    fn mul_decoded(
+        &self,
+        a: &[f32],
+        tile: &DecodedTile,
+        raw: &[f32],
+        stride: usize,
+        c: &mut [f32],
+    ) {
+        tile.check(a, raw, stride, c);
+        let f = self.format;
+        let lanes = match &tile.data {
+            TileData::Approx { format, config, lanes }
+                if (*format, *config) == (f, self.config()) =>
+            {
+                lanes
             }
-            return;
-        }
-        // Per-call work: one decode of `a` and its line patterns (or
-        // table row); per-MAC work: one product read of the cached key
-        // plus the branch-free combine.
-        let prep = self.mult.prepare(xs.mantissa());
-        if let Some(row) = self.mult.lut_row(&prep) {
-            let mask = row.len() - 1;
-            self.mac_decoded(&xs, &prep, panel.raw(), dec, c, |k| row[k as usize & mask] as u64);
-        } else if c.len() >= OR_TABLE_MIN_COLS {
-            self.mult.with_or_tables(&prep, |t| {
-                self.mac_decoded(&xs, &prep, panel.raw(), dec, c, |k| t.product(k))
-            });
-        } else {
-            self.mac_decoded(&xs, &prep, panel.raw(), dec, c, |k| prep.or_mask(k));
+            _ => return tile.mul_rows(self, a, raw, stride, c),
+        };
+        let row_groups = tile.cols.div_ceil(LANES);
+        for (l, &av) in a.iter().enumerate() {
+            if av == 0.0 {
+                continue; // zero bypass, as the hardware does
+            }
+            let braw = tile.raw_row(raw, stride, l);
+            let x = decode_f32(av, f);
+            if x.normal == 0 {
+                // NaN / Inf multiplicand, or one that flushes: rare,
+                // exact side logic.
+                self.mul_rows(av, braw, c);
+                continue;
+            }
+            // Per-element work: one decode of `a` and its line patterns
+            // (or table row); per-MAC work: one product read of the
+            // cached key plus the branch-free combine.
+            let prep = self.mult.prepare(x.man as u64);
+            let row = (lanes, l * row_groups);
+            if let Some(table) = self.mult.lut_row(&prep) {
+                let mask = table.len() - 1;
+                self.mac_decoded(av, &x, &prep, braw, row, c, |k| table[k as usize & mask] as u64);
+            } else if lanes.lines[l] >= OR_TABLE_MIN_LINES {
+                self.mult.with_or_tables(&prep, |t| {
+                    self.mac_decoded(av, &x, &prep, braw, row, c, |k| t.product(k))
+                });
+            } else {
+                let lines = prep.line_patterns();
+                self.mac_decoded(av, &x, &prep, braw, row, c, |k| lines.or_mask(k));
+            }
         }
     }
 }
@@ -1026,41 +1198,59 @@ mod tests {
         }
     }
 
-    /// `prepare_panel` + `mul_prepared` must be element-wise bit-identical
-    /// to `mul_rows` on the same panel — the contract the prepared-panel
-    /// GEMM engine is built on. Exercised over the full edge-value grid
-    /// (zeros, subnormals, infinities, NaN), a dense magnitude sweep,
-    /// and **both** `+0.0`- and `-0.0`-initialised accumulators — a
+    /// `decode_tile` + `mul_decoded` must be element-wise bit-identical
+    /// to `mul_rows` on the same row — the contract the decoded-tile
+    /// GEMM engine is built on. The tile is the block `[1, 1 + len)` of
+    /// a `3 × (len + 2)` matrix whose rows hold `bs` forwards and
+    /// reversed, so the row stride and column offset are exercised, and
+    /// `tile` arrives holding whatever the previous call decoded. Both
+    /// `+0.0`- and `-0.0`-initialised accumulators are checked — a
     /// negative-zero accumulator is flipped to `+0.0` by the signed-zero
     /// product of a *flushed* (nonzero-f32, format-zero) element, which
     /// the lane path must reproduce, not skip.
-    fn assert_prepared_matches_mul_rows(m: &dyn ScalarMul, bs: &[f32], as_: &[f32]) {
-        let panel = m.prepare_panel(bs);
-        assert_eq!(panel.len(), bs.len());
-        assert_eq!(panel.is_empty(), bs.is_empty());
-        for (p, b) in panel.raw().iter().zip(bs) {
-            assert_eq!(p.to_bits(), b.to_bits(), "{}: raw values must round-trip", m.name());
+    fn assert_decoded_matches_mul_rows(
+        m: &dyn ScalarMul,
+        bs: &[f32],
+        as_: &[f32],
+        tile: &mut DecodedTile,
+    ) {
+        let n = bs.len() + 2;
+        let rows: Vec<Vec<f32>> = vec![bs.to_vec(), bs.iter().rev().copied().collect()];
+        let mut b = vec![7.0f32; n];
+        for row in &rows {
+            b.extend([f32::NAN]);
+            b.extend(row);
+            b.extend([-0.0]);
         }
-        for &a in as_ {
-            for init in [0.0f32, -0.0] {
-                let mut plain = vec![init; bs.len()];
-                let mut prepared = vec![init; bs.len()];
-                m.mul_rows(a, bs, &mut plain);
-                m.mul_prepared(a, &panel, &mut prepared);
-                for (j, (p, q)) in plain.iter().zip(&prepared).enumerate() {
-                    assert!(
-                        p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
-                        "{}: a={a}, b={}, c0={init}: mul_rows {p} vs mul_prepared {q}",
-                        m.name(),
-                        bs[j]
-                    );
+        m.decode_tile(&b, n, 1..3, 1..n - 1, tile);
+        for (r, row) in rows.iter().enumerate() {
+            for &a in as_ {
+                for init in [0.0f32, -0.0] {
+                    let mut plain = vec![init; bs.len()];
+                    let mut decoded = vec![init; bs.len()];
+                    if a != 0.0 {
+                        m.mul_rows(a, row, &mut plain); // zero A is bypassed
+                    }
+                    // `a` against tile row `r` alone: the other row's A
+                    // element is a bypassed zero.
+                    let mut arow = [0.0f32; 2];
+                    arow[r] = a;
+                    m.mul_decoded(&arow, tile, &b[n + 1..], n, &mut decoded);
+                    for (j, (p, q)) in plain.iter().zip(&decoded).enumerate() {
+                        assert!(
+                            p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
+                            "{}: a={a}, b={}, c0={init}: mul_rows {p} vs mul_decoded {q}",
+                            m.name(),
+                            row[j]
+                        );
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn prepared_panel_matches_mul_rows_for_every_backend() {
+    fn decoded_tile_matches_mul_rows_for_every_backend() {
         let edges = edge_values();
         let mut dense = Vec::new();
         let mut v = 1.07e-30f32;
@@ -1082,42 +1272,53 @@ mod tests {
             }
             v
         };
+        let mut tile = DecodedTile::default();
         for m in &backends {
-            assert_prepared_matches_mul_rows(m.as_ref(), &edges, &edges);
-            assert_prepared_matches_mul_rows(m.as_ref(), &dense, &[0.37, -11.0, 1.0, 255.4]);
-            assert_prepared_matches_mul_rows(m.as_ref(), &[], &[1.5]);
+            assert_decoded_matches_mul_rows(m.as_ref(), &edges, &edges, &mut tile);
+            // 9 columns: one full lane group and a one-lane tail group.
+            assert_decoded_matches_mul_rows(m.as_ref(), &edges[5..14], &edges, &mut tile);
+            let some_as = [0.37, -11.0, 1.0, 255.4];
+            assert_decoded_matches_mul_rows(m.as_ref(), &dense, &some_as, &mut tile);
+            assert_decoded_matches_mul_rows(m.as_ref(), &[], &[1.5], &mut tile);
         }
     }
 
     #[test]
-    fn foreign_panels_fall_back_correctly() {
-        // A panel prepared by one backend fed to another must still match
-        // the consumer's own `mul_rows` semantics (unaccelerated path).
+    fn foreign_tiles_fall_back_correctly() {
+        // A tile decoded by one backend fed to another must still match
+        // the consumer's own `mul_rows` semantics (unaccelerated path) —
+        // also between two configurations of one wide format, whose
+        // cached wordline masks differ.
         let bs = edge_values();
         let preparers: Vec<Box<dyn ScalarMul>> = vec![
             Box::new(ExactMul),
             Box::new(QuantizedExactMul::new(FpFormat::BF16)),
             Box::new(pc3tr_bf16()),
             Box::new(ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::FP16)),
+            Box::new(ApproxFpMul::new(MultiplierConfig::PC2, FpFormat::FP32)),
         ];
         let consumers: Vec<Box<dyn ScalarMul>> = vec![
             Box::new(ExactMul),
             Box::new(QuantizedExactMul::new(FpFormat::FP32)),
             Box::new(pc3tr_bf16()),
             Box::new(ApproxFpMul::new(MultiplierConfig::PC2, FpFormat::BF16)),
+            Box::new(ApproxFpMul::new(MultiplierConfig::PC3, FpFormat::FP32)),
         ];
         for preparer in &preparers {
-            let panel = preparer.prepare_panel(&bs);
+            let mut tile = DecodedTile::default();
+            preparer.decode_tile(&bs, bs.len(), 0..1, 0..bs.len(), &mut tile);
             for consumer in &consumers {
-                for &a in &[1.5f32, -0.37, 0.0] {
+                for &a in &[1.5f32, -0.37, 0.0, 1.0 + 2f32.powi(-7)] {
                     let mut plain = vec![0.0f32; bs.len()];
-                    let mut prepared = vec![0.0f32; bs.len()];
-                    consumer.mul_rows(a, &bs, &mut plain);
-                    consumer.mul_prepared(a, &panel, &mut prepared);
-                    for (p, q) in plain.iter().zip(&prepared) {
+                    let mut decoded = vec![0.0f32; bs.len()];
+                    if a != 0.0 {
+                        consumer.mul_rows(a, &bs, &mut plain); // zero A is bypassed
+                    }
+                    consumer.mul_decoded(&[a], &tile, &bs, bs.len(), &mut decoded);
+                    for (p, q) in plain.iter().zip(&decoded) {
                         assert!(
                             p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
-                            "panel from {} into {}: a={a}: {p} vs {q}",
+                            "tile from {} into {}: a={a}: {p} vs {q}",
                             preparer.name(),
                             consumer.name()
                         );

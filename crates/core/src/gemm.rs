@@ -19,21 +19,25 @@
 //!
 //! * **fused** — the raw B row segments, one [`ScalarMul::mul_rows`]
 //!   per (A-element, B-row) pair. Native-`f32` problems too small to
-//!   amortise packing, `m == 1`, and backends without a panel cache;
-//! * **panels** — one [`PreparedPanel`] per B row, decoded once per tile
-//!   by [`ScalarMul::prepare_panel`] and consumed by
-//!   [`ScalarMul::mul_prepared`] for every C row, so the per-MAC
-//!   `FpScalar::from_f32` disappears from approximate backends (and
-//!   [`QuantizedExactMul`](crate::QuantizedExactMul) skips its per-MAC
-//!   operand quantization);
+//!   amortise packing, `m == 1`, and backends without a tile cache;
+//! * **decoded** — one [`DecodedTile`] per tile, decoded once by
+//!   [`ScalarMul::decode_tile`] and consumed row by row by
+//!   [`ScalarMul::mul_decoded`] for every C row. For approximate
+//!   backends the tile is flat structure-of-arrays lanes (multiplier
+//!   keys, exponents, signs, accumulate masks, per-group exotic flags),
+//!   filled by a branch-free bit decode and padded to whole lane groups
+//!   so every row runs in the lane kernel; no per-MAC operand decode is
+//!   left ([`QuantizedExactMul`](crate::QuantizedExactMul) caches its
+//!   quantized operands the same way);
 //! * **packed** — `NR`-major panels for the register-tile `f32`
 //!   microkernel (`microkernel.rs`).
 //!
 //! The walk takes B from one of two sources. [`gemm`] converts each tile
-//! of the raw matrix just before that tile's MACs, so it never holds
-//! more than one converted tile. A [`GemmPlan`] converts every tile once
-//! at build time and [`GemmPlan::run`] borrows them on every call — the
-//! weight-stationary form a compiled inference session serves from.
+//! of the raw matrix just before that tile's MACs, into one tile buffer
+//! allocated per call, so it never holds more than one converted tile.
+//! A [`GemmPlan`] converts every tile once at build time and
+//! [`GemmPlan::run`] borrows them on every call — the weight-stationary
+//! form a compiled inference session serves from.
 //! Either way a converted tile is shared read-only across the C slabs,
 //! so B is decoded (or packed) once per tile per GEMM, not per thread.
 //!
@@ -53,7 +57,7 @@
 //! zeros.
 
 use crate::config::{MultiplierConfig, OperandMode};
-use crate::fp::PreparedPanel;
+use crate::fp::DecodedTile;
 use crate::mantissa::MantissaMultiplier;
 use crate::microkernel;
 use crate::{ExactMul, ScalarMul};
@@ -158,9 +162,9 @@ pub fn gemm_reference(
 ///
 /// Each `KC×NC` tile of B is converted just before its MACs: packed for
 /// the register-tile microkernel (native-`f32` problems big enough to
-/// amortise packing), decoded into panels (panel-caching backends with
-/// `m > 1`), or left raw for the fused loop (everything else — `m == 1`
-/// has no cross-row reuse to amortise a decode). Small problems (under
+/// amortise packing), decoded (tile-decoding backends with `m > 1`), or
+/// left raw for the fused loop (everything else — `m == 1` has no
+/// cross-row reuse to amortise a decode). Small problems (under
 /// ~16k MACs) run serially; larger ones split C row panels across the
 /// persistent worker pool. Either way the per-element accumulation order
 /// is ascending-`k`, so the result does not depend on problem size or
@@ -205,12 +209,12 @@ pub fn gemm(
         } else {
             Form::Fused
         }
-    } else if m > 1 && mul.supports_prepared_panels() {
-        Form::Panels
+    } else if m > 1 && mul.decodes_tiles() {
+        Form::Decoded
     } else {
         // A single C row consumes each decoded element exactly once, and
-        // a backend without a panel cache gains nothing from the panel
-        // allocation + B copy: both stay fused.
+        // a backend without a tile cache gains nothing from a decode:
+        // both stay fused.
         Form::Fused
     };
     walk(mul, a, BSource::Raw(b, form), c, k, n, par_chunk_rows(m, k, n));
@@ -265,8 +269,8 @@ fn tiles(k: usize, n: usize, tk: usize, tn: usize) -> impl Iterator<Item = Tile>
 enum Form {
     /// Raw row segments through [`ScalarMul::mul_rows`].
     Fused,
-    /// Decoded [`PreparedPanel`]s through [`ScalarMul::mul_prepared`].
-    Panels,
+    /// A [`DecodedTile`] through [`ScalarMul::mul_decoded`].
+    Decoded,
     /// `NR`-major packed panels through the register-tile microkernel;
     /// `portable` forces the portable register kernel over the
     /// runtime-detected one.
@@ -278,47 +282,33 @@ enum Form {
 #[derive(Debug, Clone)]
 enum TileB {
     Fused,
-    Panels(Vec<PreparedPanel>),
+    Decoded(DecodedTile),
     Packed { data: Vec<f32>, portable: bool },
 }
 
 impl TileB {
-    /// Converts `tile` of the row-major `b` to `form`. `par` spreads the
-    /// panel decode across the pool, one block of B rows per work item
-    /// (panel order is positional, so scheduling cannot affect results).
-    fn convert(
-        mul: &dyn ScalarMul,
-        b: &[f32],
-        n: usize,
-        tile: Tile,
-        form: Form,
-        par: bool,
-    ) -> Self {
-        let row = |l: usize| &b[l * n + tile.j0..l * n + tile.j1];
+    /// An empty tile of `form`, ready for [`convert`](Self::convert).
+    fn new(form: Form) -> Self {
         match form {
             Form::Fused => TileB::Fused,
-            Form::Panels if par => {
-                let mut panels: Vec<Option<PreparedPanel>> =
-                    (tile.l0..tile.l1).map(|_| None).collect();
-                panels.par_chunks_mut(8).enumerate().for_each(|(pi, slots)| {
-                    for (s, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(mul.prepare_panel(row(tile.l0 + pi * 8 + s)));
-                    }
-                });
-                TileB::Panels(panels.into_iter().map(|p| p.expect("panel decoded")).collect())
-            }
-            Form::Panels => {
-                TileB::Panels((tile.l0..tile.l1).map(|l| mul.prepare_panel(row(l))).collect())
-            }
-            Form::Packed { portable } => {
-                TileB::Packed { data: microkernel::pack_b(b, n, tile), portable }
-            }
+            Form::Decoded => TileB::Decoded(DecodedTile::default()),
+            Form::Packed { portable } => TileB::Packed { data: Vec::new(), portable },
+        }
+    }
+
+    /// Converts `tile` of the row-major `b` into this tile's form,
+    /// reusing its buffers where the form has any to reuse.
+    fn convert(&mut self, mul: &dyn ScalarMul, b: &[f32], n: usize, tile: Tile) {
+        match self {
+            TileB::Fused => {}
+            TileB::Decoded(dt) => mul.decode_tile(b, n, tile.l0..tile.l1, tile.j0..tile.j1, dt),
+            TileB::Packed { data, .. } => *data = microkernel::pack_b(b, n, tile),
         }
     }
 
     /// Runs this tile's MACs over the C rows in `c` (row count inferred)
     /// with the matching kernel. `a` is the A slab for the same rows;
-    /// `raw` is the whole raw B, read only by the fused form.
+    /// `raw` is the whole raw B, read by the fused and decoded forms.
     #[allow(clippy::too_many_arguments)] // internal kernel seam: operands + shape + tile
     fn mac_slab(
         &self,
@@ -347,15 +337,11 @@ impl TileB {
                     }
                 }
             }
-            TileB::Panels(panels) => {
+            TileB::Decoded(dt) => {
+                let block = &raw[tile.l0 * n + tile.j0..];
                 for r in 0..rows {
                     let (cols, arow) = row(r);
-                    let crow = &mut c[cols];
-                    for (panel, &av) in panels.iter().zip(arow) {
-                        if av != 0.0 {
-                            mul.mul_prepared(av, panel, crow);
-                        }
-                    }
+                    mul.mul_decoded(arow, dt, block, n, &mut c[cols]);
                 }
             }
             TileB::Packed { data, portable } => {
@@ -370,7 +356,7 @@ impl TileB {
 enum BSource<'a> {
     /// The raw row-major matrix, each tile converted to the form just
     /// before its MACs (eager [`gemm`]: one converted tile alive at a
-    /// time).
+    /// time, in one buffer per call).
     Raw(&'a [f32], Form),
     /// A plan's tiles, converted once at build time.
     Plan(&'a GemmPlan),
@@ -379,8 +365,6 @@ enum BSource<'a> {
 /// The one float tile walk behind [`gemm`] and [`GemmPlan`]: per tile,
 /// get B's operand (convert it now or borrow it from the plan), then run
 /// the matching slab kernel serially or over `chunk_rows`-row C chunks.
-/// An eager conversion's panel decode is spread over the pool whenever
-/// the MACs are.
 fn walk(
     mul: &dyn ScalarMul,
     a: &[f32],
@@ -390,16 +374,15 @@ fn walk(
     n: usize,
     chunk_rows: Option<usize>,
 ) {
-    let raw = match b {
-        BSource::Raw(raw, _) => raw,
-        BSource::Plan(plan) => &plan.raw,
+    let (raw, mut eager) = match b {
+        BSource::Raw(raw, form) => (raw, TileB::new(form)),
+        BSource::Plan(plan) => (&plan.raw[..], TileB::Fused),
     };
     for (ti, tile) in tiles(k, n, KC, NC).enumerate() {
-        let converted;
         let tb = match b {
-            BSource::Raw(_, form) => {
-                converted = TileB::convert(mul, raw, n, tile, form, chunk_rows.is_some());
-                &converted
+            BSource::Raw(..) => {
+                eager.convert(mul, raw, n, tile);
+                &eager
             }
             BSource::Plan(plan) => &plan.tiles[ti],
         };
@@ -419,15 +402,16 @@ fn walk(
 ///
 /// * native-`f32` backends — `NR`-major packed panels for the
 ///   register-tile microkernel (B is packed zero times per GEMM);
-/// * panel-caching backends ([`ApproxFpMul`] on the fast formats,
-///   [`QuantizedExactMul`]) — the decoded [`PreparedPanel`]s of every
-///   `KC × NC` tile;
+/// * tile-decoding backends ([`ApproxFpMul`] on the fast formats,
+///   [`QuantizedExactMul`]) — the [`DecodedTile`] of every `KC × NC`
+///   tile, plus the raw values for the rows' zero tests and exotic
+///   elements;
 /// * everything else — the raw values (the fused loop re-derives
 ///   operands per call, exactly as [`gemm`] does for those backends).
 ///
 /// [`run`](Self::run) is **bit-identical** to [`gemm`] on the same
 /// operands — *including* `m == 1`, which `gemm` itself keeps on the
-/// fused path but which a plan serves from its panels: single-sample
+/// fused path but which a plan serves from its decoded tiles: single-sample
 /// inference requests are exactly where the per-request B re-decode
 /// hurts most.
 ///
@@ -454,7 +438,8 @@ fn walk(
 pub struct GemmPlan {
     k: usize,
     n: usize,
-    /// The raw matrix, kept only for the fused form (empty otherwise).
+    /// The raw matrix, kept for the fused and decoded forms (empty for
+    /// the packed form).
     raw: Vec<f32>,
     /// Every tile in walk order.
     tiles: Vec<TileB>,
@@ -463,8 +448,8 @@ pub struct GemmPlan {
 impl GemmPlan {
     /// Converts the `k × n` row-major matrix `b` for repeated
     /// [`run`](Self::run) calls through `mul`. Running the plan through
-    /// a *different* backend stays correct (panel tiles fall back to
-    /// their raw values) — except that a plan packed for a native-`f32`
+    /// a *different* backend stays correct (decoded tiles fall back to
+    /// the raw values) — except that a plan packed for a native-`f32`
     /// backend is only accepted by native-`f32` backends.
     ///
     /// # Panics
@@ -474,14 +459,19 @@ impl GemmPlan {
         assert_eq!(b.len(), k * n, "B has wrong length");
         let form = if mul.is_native_f32() {
             Form::Packed { portable: false }
-        } else if mul.supports_prepared_panels() {
-            Form::Panels
+        } else if mul.decodes_tiles() {
+            Form::Decoded
         } else {
             Form::Fused
         };
-        let raw = if form == Form::Fused { b.to_vec() } else { Vec::new() };
-        let tiles =
-            tiles(k, n, KC, NC).map(|t| TileB::convert(mul, b, n, t, form, false)).collect();
+        let raw = if matches!(form, Form::Packed { .. }) { Vec::new() } else { b.to_vec() };
+        let tiles = tiles(k, n, KC, NC)
+            .map(|t| {
+                let mut tb = TileB::new(form);
+                tb.convert(mul, b, n, t);
+                tb
+            })
+            .collect();
         GemmPlan { k, n, raw, tiles }
     }
 
@@ -500,7 +490,7 @@ impl GemmPlan {
     /// `C[m×n] += A[m×k] · B[k×n]` against this plan — the serving-path
     /// twin of [`gemm`]: same thread gate and row chunking, same kernels,
     /// **bit-identical** results for every backend and shape including
-    /// `m == 1`, with every per-call B conversion (panel decode,
+    /// `m == 1`, with every per-call B conversion (tile decode,
     /// microkernel packing, quantization) already paid at
     /// [`new`](Self::new) time.
     ///
@@ -622,7 +612,7 @@ fn lane_mac(
 /// * **B** is quantized per `tile_k × tile_n` tile — one shared
 ///   exponent per tile, quantized **once per GEMM** and shared
 ///   read-only across every C row (and every worker thread), mirroring
-///   the prepared-panel float engine;
+///   the decoded-tile float engine;
 /// * mantissa *magnitudes* multiply through the integer-mode
 ///   OR-approximate [`MantissaMultiplier`] (signs XORed exactly, the
 ///   line patterns / LUT row of each A mantissa pre-bound per `(row,
@@ -649,7 +639,7 @@ fn lane_mac(
 /// Per output element, k-tiles fold into `C` in ascending-`k` order and
 /// each tile's integer accumulation is exact, so the result is
 /// **byte-identical** across thread counts, chunk sizes and repeated
-/// runs — the same guarantee the float prepared-panel path has
+/// runs — the same guarantee the float decoded-tile path has
 /// (asserted by `tests/blockfp_differential.rs`).
 ///
 /// # Examples
@@ -1213,7 +1203,7 @@ mod tests {
     /// Every operand form `mul` can consume: packed tiles drop the raw
     /// values, so only native-`f32` backends take them.
     fn forms(mul: &dyn ScalarMul) -> Vec<Form> {
-        let mut forms = vec![Form::Fused, Form::Panels];
+        let mut forms = vec![Form::Fused, Form::Decoded];
         if mul.is_native_f32() {
             forms.extend([Form::Packed { portable: false }, Form::Packed { portable: true }]);
         }
@@ -1330,7 +1320,7 @@ mod tests {
     #[test]
     fn parallel_path_engages_above_gate() {
         // 64x32x32 = 65536 MACs clears PAR_MIN_MACS with m > 1: the
-        // chunked walk runs with panels (approx) and packed tiles
+        // chunked walk runs with decoded tiles (approx) and packed tiles
         // (exact) — when `current_num_threads() > 1`; on a 1-core host
         // `gemm` stays serial, and the direct chunked test below keeps
         // the chunk indexing covered regardless.
@@ -1394,12 +1384,12 @@ mod tests {
 
     #[test]
     fn prepared_b_bit_matches_gemm_for_every_backend_class() {
-        // One backend per plan form: packed (native f32), panels (panel
+        // One backend per plan form: packed (native f32), decoded (tile
         // cache), fused (raw fallback — an exotic format ApproxFpMul
         // keeps on the FpScalar path).
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let quant = QuantizedExactMul::new(FpFormat::BF16);
-        // e11m9: exponent range beyond f32's, so the fast-f32 panel
+        // e11m9: exponent range beyond f32's, so the fast-f32 tile
         // cache is off and the plan keeps the raw fused fallback.
         let exotic = ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::new(11, 9).unwrap());
         let muls: [&dyn ScalarMul; 4] = [&ExactMul, &pc3, &quant, &exotic];
@@ -1412,7 +1402,7 @@ mod tests {
 
     #[test]
     fn prepared_b_serves_the_m_equals_1_case() {
-        // Regression for the m > 1 panel gate in `gemm`: a plan must
+        // Regression for the m > 1 decode gate in `gemm`: a plan must
         // serve single-sample requests bit-identically to the eager
         // engine (which routes m == 1 to the fused path).
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
@@ -1462,7 +1452,7 @@ mod tests {
 
     #[test]
     fn foreign_panel_prepared_b_falls_back_correctly() {
-        // Panels planned by one panel-caching backend and run through
+        // Tiles planned by one tile-decoding backend and run through
         // another must match the consumer's own eager semantics.
         let preparer = QuantizedExactMul::new(FpFormat::BF16);
         let consumer = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
@@ -1474,7 +1464,7 @@ mod tests {
         gemm(&consumer, &a, &b, &mut eager, m, k, n);
         let mut served = vec![0.0f32; m * n];
         plan.run(&consumer, &a, &mut served, m);
-        assert_bits_eq(&eager, &served, "foreign panel");
+        assert_bits_eq(&eager, &served, "foreign tile");
     }
 
     #[test]

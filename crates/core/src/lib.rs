@@ -86,7 +86,7 @@ mod sram_backed;
 
 pub use config::{MultiplierConfig, MultiplierKind, OperandMode};
 pub use error::CoreError;
-pub use fp::{ApproxFpMul, ExactMul, PreparedPanel, QuantizedExactMul, ScalarMul};
+pub use fp::{ApproxFpMul, DecodedTile, ExactMul, QuantizedExactMul, ScalarMul};
 pub use gemm::{
     gemm, gemm_f32_microkernel_portable, gemm_reference, BlockFpGemm, BlockFpPreparedA,
     BlockFpPreparedB, GemmPlan,

@@ -219,17 +219,20 @@ impl MantissaMultiplier {
     /// # Panics
     ///
     /// Panics if `a` exceeds `n` bits.
+    #[inline]
     pub fn prepare(&self, a: u64) -> PreparedMultiplicand {
         let n = self.layout.mantissa_width();
         assert!(bits::width_of(a) <= n, "multiplicand {a:#x} wider than {n} bits");
-        let mut patterns = [0u64; MAX_LINES];
-        // The table path never consults per-line patterns.
-        if self.lut.is_none() {
+        // The table path never consults per-line patterns, so it builds
+        // (and zero-fills) none.
+        let lines = self.lut.is_none().then(|| {
+            let mut patterns = [0u64; MAX_LINES];
             for (i, p) in patterns.iter_mut().enumerate().take(self.layout.len()) {
                 *p = self.layout.stored_pattern(i, a);
             }
-        }
-        PreparedMultiplicand { a, patterns, lines: self.layout.len() }
+            LinePatterns { patterns, len: self.layout.len() }
+        });
+        PreparedMultiplicand { a, lines }
     }
 
     /// [`multiply`](Self::multiply) with a pre-bound multiplicand:
@@ -339,7 +342,14 @@ impl MantissaMultiplier {
         out
     }
 
-    /// The per-multiplier key a decoded panel caches for `b`: `b`
+    /// `true` if products are served from the memoized table, so a
+    /// multiplier's [`key`](Self::key) is the multiplier itself.
+    #[inline]
+    pub(crate) fn has_table(&self) -> bool {
+        self.lut.is_some()
+    }
+
+    /// The per-multiplier key a decoded tile caches for `b`: `b`
     /// itself (the product-table column) when this multiplier has a
     /// table, otherwise its wordline mask — so the per-MAC product
     /// skips the decode.
@@ -366,7 +376,7 @@ impl MantissaMultiplier {
 
     #[inline]
     fn or_prepared(&self, prep: &PreparedMultiplicand, b: u64) -> u64 {
-        prep.or_mask(self.layout.decode(b) as u32)
+        prep.line_patterns().or_mask(self.layout.decode(b) as u32)
     }
 
     /// Runs `f` with the subset-OR tables of `prep` built into this
@@ -381,7 +391,8 @@ impl MantissaMultiplier {
     ) -> R {
         OR_TABLES.with(|cell| {
             let mut tables = cell.borrow_mut();
-            tables.build(&prep.patterns[..prep.lines]);
+            let lines = prep.line_patterns();
+            tables.build(&lines.patterns[..lines.len]);
             f(&tables)
         })
     }
@@ -415,11 +426,16 @@ impl MantissaMultiplier {
 #[derive(Debug, Clone)]
 pub struct PreparedMultiplicand {
     a: u64,
-    /// One stored pattern per wordline, the first `lines` entries (all
-    /// zero when the multiplier serves products from its memoized table
-    /// instead).
+    /// The stored patterns, `None` when the multiplier serves products
+    /// from its memoized table instead.
+    lines: Option<LinePatterns>,
+}
+
+/// One stored pattern per wordline, the first `len` entries.
+#[derive(Debug, Clone)]
+pub(crate) struct LinePatterns {
     patterns: [u64; MAX_LINES],
-    lines: usize,
+    len: usize,
 }
 
 impl PreparedMultiplicand {
@@ -429,6 +445,19 @@ impl PreparedMultiplicand {
         self.a
     }
 
+    /// The per-line patterns the OR path reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the multiplier serves products from its table (it
+    /// prepares no patterns).
+    #[inline]
+    pub(crate) fn line_patterns(&self) -> &LinePatterns {
+        self.lines.as_ref().expect("a table-served multiplicand has no line patterns")
+    }
+}
+
+impl LinePatterns {
     /// The wired-OR read for a decoded wordline mask: the OR chain over
     /// its active lines' patterns.
     #[inline]
@@ -799,12 +828,13 @@ mod tests {
                     let bs = wide_multipliers(n, mode);
                     for &a in &[bits::mask(n), 1u64 << (n - 1), 0x005A_5A5A & bits::mask(n), 1] {
                         let prep = m.prepare(a);
+                        let lines = prep.line_patterns();
                         m.with_or_tables(&prep, |t| {
                             for &b in &bs {
                                 let (mask, want) = (m.key(b), m.multiply_bitwise(a, b));
                                 let what = format!("{config} {mode:?} n={n}: a={a:#x} b={b:#x}");
                                 assert_eq!(t.product(mask), want, "tables, {what}");
-                                assert_eq!(prep.or_mask(mask), want, "mask chain, {what}");
+                                assert_eq!(lines.or_mask(mask), want, "mask chain, {what}");
                             }
                         });
                     }

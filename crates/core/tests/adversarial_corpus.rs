@@ -10,9 +10,13 @@
 //! subnormal, infinities and NaN, magnitudes whose exponent sum with
 //! some A overflows or underflows the format, operands that sit on a
 //! round-to-nearest-even tie, and all-ones mantissas (every wordline
-//! active). Eager `gemm` runs it as one 32-column panel, so wide
-//! mantissas take the mask-chain product; the plan holds it twice over,
-//! a 64-column panel, so they take the subset-OR-table product.
+//! active). The B row is the boundary set plus one value, 33 columns,
+//! ordered so that the zeros, infinities and NaN close it: four full
+//! lane groups and a padded tail group whose one lane is the NaN, right
+//! after the infinities. Eager `gemm` runs it as one 33-column row, so
+//! wide mantissas take the mask-chain product; the plan holds it seven
+//! times over, 231 columns, so they take the subset-OR-table product and
+//! its tail group holds the zeros, the infinities and the NaN.
 
 use daism_core::{gemm, ApproxFpMul, GemmPlan, MultiplierConfig, QuantizedExactMul, ScalarMul};
 use daism_num::FpFormat;
@@ -54,6 +58,22 @@ fn boundary_set() -> Vec<f32> {
     v
 }
 
+/// Copies of the B row side by side in the plan's B: 231 columns, whose
+/// keys select enough wordlines (238 for fp16/PC3_tr, the fewest) for
+/// every wide mantissa to take the subset-OR-table product, and whose
+/// seven-lane tail group holds the zeros, infinities and NaN.
+const PLAN_COPIES: usize = 7;
+
+/// The corpus' B row: one plain value, then the boundary set with its
+/// five leading specials (±0, ±Inf, NaN) moved to the end.
+fn b_row() -> Vec<f32> {
+    let set = boundary_set();
+    let mut row = vec![-0.75f32];
+    row.extend(&set[5..]);
+    row.extend(&set[..5]);
+    row
+}
+
 /// What a batched path must leave in a `+0.0` accumulator: the
 /// zero-bypassed product of `a` and `b`.
 fn expected(mul: &dyn ScalarMul, a: f32, b: f32) -> u32 {
@@ -63,7 +83,7 @@ fn expected(mul: &dyn ScalarMul, a: f32, b: f32) -> u32 {
 
 fn assert_corpus(mul: &dyn ScalarMul) {
     let a = bf16_patterns();
-    let b = boundary_set();
+    let b = b_row();
     let (m, n) = (a.len(), b.len());
     let want: Vec<u32> =
         a.iter().flat_map(|&av| b.iter().map(move |&bv| expected(mul, av, bv))).collect();
@@ -88,13 +108,14 @@ fn assert_corpus(mul: &dyn ScalarMul) {
     gemm(mul, &a, &b, &mut c, m, 1, n);
     check(bits(&c), "gemm");
 
-    let twice: Vec<f32> = b.iter().chain(&b).copied().collect();
-    let plan = GemmPlan::new(mul, &twice, 1, 2 * n);
-    let mut c = vec![0.0f32; m * 2 * n];
+    let wide: Vec<f32> = b.repeat(PLAN_COPIES);
+    let plan = GemmPlan::new(mul, &wide, 1, PLAN_COPIES * n);
+    let mut c = vec![0.0f32; m * PLAN_COPIES * n];
     plan.run(mul, &a, &mut c, m);
-    for half in [0, n] {
+    for copy in 0..PLAN_COPIES {
+        let cols = copy * n..(copy + 1) * n;
         check(
-            c.chunks_exact(2 * n).flat_map(|row| bits(&row[half..half + n])).collect(),
+            c.chunks_exact(PLAN_COPIES * n).flat_map(|row| bits(&row[cols.clone()])).collect(),
             "GemmPlan::run",
         );
     }
@@ -111,8 +132,14 @@ fn assert_corpus(mul: &dyn ScalarMul) {
 #[test]
 fn boundary_set_fills_a_wide_panel_when_doubled() {
     let b = boundary_set();
-    assert_eq!(b.len(), 32, "the plan's panel must reach the subset-OR-table length (64)");
+    assert_eq!(b.len(), 32, "the B row is the boundary set plus one value");
     assert!(b.iter().any(|x| x.is_nan()));
+    // Eager: four full lane groups and a one-lane tail group holding the
+    // NaN. Plan: a seven-lane tail group ending in ±0, ±Inf and NaN.
+    let row = b_row();
+    assert_eq!(row.len(), 33);
+    assert!(row[32].is_nan() && row[30..32].iter().all(|x| x.is_infinite()));
+    assert_eq!(PLAN_COPIES * row.len() % 8, 7);
 }
 
 #[test]
@@ -133,6 +160,16 @@ fn quantized_exact_tf32() {
 #[test]
 fn quantized_exact_fp32() {
     assert_corpus(&QuantizedExactMul::new(FpFormat::FP32));
+}
+
+#[test]
+fn approx_bf16_pc3_tr() {
+    assert_corpus(&ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16));
+}
+
+#[test]
+fn approx_bf16_fla() {
+    assert_corpus(&ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::BF16));
 }
 
 #[test]

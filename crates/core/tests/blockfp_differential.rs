@@ -351,7 +351,7 @@ fn test_matrix(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// The determinism guarantee (same as the float prepared-panel path):
+/// The determinism guarantee (same as the float decoded-tile path):
 /// output is **byte-identical** across repeated runs and across every C
 /// row-chunk size. Thread count influences the kernel *only* through
 /// `chunk_rows` (`execute` derives it from `current_num_threads`), so

@@ -1,4 +1,4 @@
-//! Differential property suite: the tiled, prepared-panel, parallel GEMM
+//! Differential property suite: the tiled, decoded-tile, parallel GEMM
 //! engine must be **bit-identical** to the scalar reference for every
 //! backend, every multiplier configuration, every mantissa width and
 //! every shape — including degenerate ones — from both B sources: eager
@@ -7,7 +7,7 @@
 //!
 //! This is the contract that makes the engine a pure speed refactor: any
 //! divergence in accumulation order, zero-bypass handling, backend
-//! batching or panel pre-decode shows up here as a failing bit
+//! batching or tile pre-decode shows up here as a failing bit
 //! comparison.
 
 use daism_core::{
@@ -54,33 +54,73 @@ fn assert_bits_eq(reference: &[f32], got: &[f32], what: &str) -> Result<(), Test
 }
 
 /// Pins eager `gemm`, `GemmPlan::run` and `GemmPlan::run_chunked` (chunks
-/// of 1, 2 and `m` rows) to `gemm_reference` for every backend.
+/// of 1, 2 and `m` rows) to `gemm_reference` for every backend, each
+/// accumulating into a copy of `c0` (all `+0.0` when empty).
 fn assert_all_backends_bit_identical(
     a: &[f32],
     b: &[f32],
+    c0: &[f32],
     m: usize,
     k: usize,
     n: usize,
 ) -> Result<(), TestCaseError> {
+    let c0 = if c0.is_empty() { vec![0.0f32; m * n] } else { c0.to_vec() };
     for mul in backends() {
         let mul = mul.as_ref();
         let what = |path: &str| format!("{} {m}x{k}x{n} {path}", mul.name());
-        let mut reference = vec![0.0f32; m * n];
+        let mut reference = c0.clone();
         gemm_reference(mul, a, b, &mut reference, m, k, n);
-        let mut engine = vec![0.0f32; m * n];
+        let mut engine = c0.clone();
         gemm(mul, a, b, &mut engine, m, k, n);
         assert_bits_eq(&reference, &engine, &what("gemm"))?;
         let plan = GemmPlan::new(mul, b, k, n);
-        let mut served = vec![0.0f32; m * n];
+        let mut served = c0.clone();
         plan.run(mul, a, &mut served, m);
         assert_bits_eq(&reference, &served, &what("plan"))?;
-        for chunk_rows in [1, 2, m.max(1)] {
-            let mut chunked = vec![0.0f32; m * n];
+        let mut chunks = vec![1, 2, m.max(1)];
+        chunks.dedup();
+        for chunk_rows in chunks {
+            let mut chunked = c0.clone();
             plan.run_chunked(mul, a, &mut chunked, m, chunk_rows);
             assert_bits_eq(&reference, &chunked, &what(&format!("plan chunk {chunk_rows}")))?;
         }
     }
     Ok(())
+}
+
+/// A deterministic hash of `(seed, i)`, for salting operands.
+fn mix(seed: u64, i: usize) -> u64 {
+    let mut h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^= h >> 29;
+    h.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 11
+}
+
+/// Salts the `n`-column `b` with the values a lane kernel must route to
+/// the exact side logic or keep out of C: about one element in twelve
+/// becomes an `f32` subnormal or a normal `f32` that flushes in fp16
+/// (signed either way), and up to three positions become `+Inf`, `-Inf`
+/// and NaN — few enough that most C columns stay finite and comparable.
+/// About one column in eight holds nothing but zeros and flushed values,
+/// so its C stays a signed zero that a flushed product can flip, and
+/// mishandling one shows in the result.
+fn salt(b: &mut [f32], n: usize, seed: u64) {
+    let flushers = [1e-40f32, f32::from_bits(0x007F_FFFF), 2f32.powi(-20), 1e-6];
+    for (i, v) in b.iter_mut().enumerate() {
+        if mix(seed.rotate_left(17), i % n).is_multiple_of(8) {
+            *v = 0.0;
+        }
+        let h = mix(seed, i);
+        if h.is_multiple_of(12) {
+            let x = flushers[(h >> 8) as usize % flushers.len()];
+            *v = if (h >> 16) & 1 == 0 { x } else { -x };
+        }
+    }
+    for (j, special) in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN].into_iter().enumerate() {
+        let h = mix(seed, usize::MAX - j);
+        if !h.is_multiple_of(3) {
+            b[(h >> 8) as usize % b.len()] = special;
+        }
+    }
 }
 
 /// Sparsify: push small magnitudes to exact zero so the zero-bypass path
@@ -102,7 +142,7 @@ proptest! {
     ) {
         let ((m, k, n), a, b) = case;
         let (a, b) = (sparsify(a), sparsify(b));
-        assert_all_backends_bit_identical(&a, &b, m, k, n)?;
+        assert_all_backends_bit_identical(&a, &b, &[], m, k, n)?;
     }
 
     #[test]
@@ -119,7 +159,36 @@ proptest! {
     ) {
         let ((m, k, n), a, b) = case;
         let (a, b) = (sparsify(a), sparsify(b));
-        assert_all_backends_bit_identical(&a, &b, m, k, n)?;
+        assert_all_backends_bit_identical(&a, &b, &[], m, k, n)?;
+    }
+
+    #[test]
+    fn tiled_equals_reference_on_narrow_panels_with_specials(
+        case in (2usize..4, 250usize..270, 8usize..41).prop_flat_map(|(m, k, n)| {
+            // Every tail length after one to five lane groups, depths
+            // across the KC = 256 tile edge, and two or three C rows so
+            // eager `gemm` decodes its tiles too.
+            (
+                Just((m, k, n)),
+                prop::collection::vec(-8.0f32..8.0, m * k),
+                prop::collection::vec(-8.0f32..8.0, k * n),
+                any::<u64>(),
+            )
+        }),
+    ) {
+        let ((m, k, n), a, b, seed) = case;
+        let (a, mut b) = (sparsify(a), sparsify(b));
+        salt(&mut b, n, seed);
+        // C arrives holding signed zeros — which a flushed element's
+        // signed-zero product can flip — and some finite values.
+        let c0: Vec<f32> = (0..m * n)
+            .map(|i| match mix(!seed, i) % 3 {
+                0 => -0.0,
+                1 => 0.0,
+                _ => (mix(seed, i) % 64) as f32 / 8.0 - 4.0,
+            })
+            .collect();
+        assert_all_backends_bit_identical(&a, &b, &c0, m, k, n)?;
     }
 
     #[test]

@@ -359,7 +359,7 @@ impl ConvGeom {
 /// The whole batch is lowered into one `[in_ch·k·k, batch·oh·ow]`
 /// column matrix, so forward and backward each run **one GEMM per
 /// layer** instead of one per sample — feeding the engine panels wide
-/// enough for its prepared-panel pre-decode and the worker pool to pay
+/// enough for its decoded-tile pre-decode and the worker pool to pay
 /// off. im2col/transpose scratch buffers are owned by the layer and
 /// reused across calls and iterations (no per-call allocation churn).
 ///

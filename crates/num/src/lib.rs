@@ -41,5 +41,5 @@ mod storage;
 pub use blockfp::BlockFp;
 pub use error::FormatError;
 pub use format::FpFormat;
-pub use scalar::{encode_normal_f32, quantize_f32, FpClass, FpScalar};
+pub use scalar::{decode_f32, encode_normal_f32, quantize_f32, DecodedF32, FpClass, FpScalar};
 pub use storage::Bf16;

@@ -311,7 +311,12 @@ pub fn quantize_f32(x: f32, format: FpFormat) -> f32 {
     if !format.fits_f32() {
         return FpScalar::from_f32(x, format).to_f32();
     }
-    let raw = x.to_bits();
+    f32::from_bits(quantize_bits(x.to_bits(), format))
+}
+
+/// [`quantize_f32`] on the bits of `x`, for a format that fits `f32`.
+#[inline]
+fn quantize_bits(raw: u32, format: FpFormat) -> u32 {
     let sign = raw & 0x8000_0000;
     let abs = raw & 0x7FFF_FFFF;
     // Round to nearest-even at the format's last mantissa bit: adding
@@ -330,7 +335,7 @@ pub fn quantize_f32(x: f32, format: FpFormat) -> f32 {
     let min_normal = ((format.min_exp() + 127) as u32) << 23;
     let max_finite = (((format.max_exp() + 127) as u32) << 23) | 0x7F_FFFF;
     // Every case is a select, not a branch, so loops over this vectorize.
-    let out = if abs > 0x7F80_0000 {
+    if abs > 0x7F80_0000 {
         f32::NAN.to_bits()
     } else if rounded > max_finite {
         sign | 0x7F80_0000 // overflow, or ±Inf itself
@@ -338,8 +343,78 @@ pub fn quantize_f32(x: f32, format: FpFormat) -> f32 {
         sign // zero, f32 subnormal or format underflow
     } else {
         sign | rounded
-    };
-    f32::from_bits(out)
+    }
+}
+
+/// The fields [`FpScalar::from_f32`] decodes, as plain integers: what a
+/// lane kernel caches per operand. See [`decode_f32`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecodedF32 {
+    /// The input's sign bit, at the `f32` sign position.
+    pub sign: u32,
+    /// Unbiased exponent of a normal value; `0` otherwise.
+    pub exp: i32,
+    /// Mantissa with explicit leading one, `format.mantissa_width()`
+    /// bits wide, of a normal value; `0` otherwise.
+    pub man: u32,
+    /// `u32::MAX` if the value is normal in the format, `0` otherwise —
+    /// an accumulate mask for a select.
+    pub normal: u32,
+    /// The bits of `quantize_f32(x, format)` without the sign: `0` for a
+    /// zero (flushed or not), `0x7F80_0000` for an infinity (overflowed
+    /// or not), above it for a NaN.
+    pub magnitude: u32,
+}
+
+impl DecodedF32 {
+    /// The value class, as [`FpScalar::class`] reports it.
+    pub fn class(&self) -> FpClass {
+        match self.magnitude {
+            _ if self.normal != 0 => FpClass::Normal,
+            0 => FpClass::Zero,
+            0x7F80_0000 => FpClass::Inf,
+            _ => FpClass::Nan,
+        }
+    }
+}
+
+/// Decodes `x` into `format` on the bits, with no data-dependent branch:
+/// the round-to-nearest-even, saturation and flush of [`quantize_f32`],
+/// then field extraction from the rounded `f32`. Sign, exponent,
+/// mantissa and class equal those of `FpScalar::from_f32(x, format)` for
+/// every input (a NaN keeps its sign, as there).
+///
+/// Only valid for formats that [fit `f32`](FpFormat::fits_f32) — every
+/// predefined format. Callers check that once per configuration, not
+/// per call.
+///
+/// # Examples
+///
+/// ```
+/// use daism_num::{decode_f32, FpClass, FpFormat};
+///
+/// let d = decode_f32(-1.5, FpFormat::BF16);
+/// assert_eq!((d.sign, d.exp, d.man), (0x8000_0000, 0, 0b1100_0000));
+/// assert_eq!(d.class(), FpClass::Normal);
+/// // f32 subnormals flush to zero:
+/// assert_eq!(decode_f32(1e-40, FpFormat::BF16).class(), FpClass::Zero);
+/// ```
+#[inline]
+pub fn decode_f32(x: f32, format: FpFormat) -> DecodedF32 {
+    debug_assert!(format.fits_f32());
+    let magnitude = quantize_bits(x.to_bits(), format) & 0x7FFF_FFFF;
+    let e = magnitude >> 23;
+    // Biased exponent in 1..=254: neither zero nor Inf/NaN.
+    let normal = if e.wrapping_sub(1) < 0xFE { u32::MAX } else { 0 };
+    // `quantize_f32` cleared the dropped bits, so the shift is exact.
+    let man = ((magnitude & 0x7F_FFFF) | 0x80_0000) >> (24 - format.mantissa_width());
+    DecodedF32 {
+        sign: x.to_bits() & 0x8000_0000,
+        exp: (e as i32 - 127) & normal as i32,
+        man: man & normal,
+        normal,
+        magnitude,
+    }
 }
 
 #[cfg(test)]
@@ -515,6 +590,26 @@ mod tests {
                     let fast = quantize_f32(x, format);
                     let oracle = FpScalar::from_f32(x, format).to_f32();
                     assert_eq!(fast.to_bits(), oracle.to_bits(), "{format}: {:#010x}", x.to_bits());
+                }
+            }
+        }
+    }
+
+    /// The bit decode against the `FpScalar` decode on the same grid as
+    /// `quantize_f32_matches_fpscalar_round_trip`: class, sign, exponent
+    /// and mantissa must agree everywhere, NaN signs included.
+    #[test]
+    fn decode_f32_matches_fpscalar_decode() {
+        for format in [FpFormat::BF16, FpFormat::FP16, FpFormat::TF32, FpFormat::FP32] {
+            for hi in 0u32..=0xFFFF {
+                for lo in [0x0000u32, 0x7FFF, 0x8000, 0x8001, 0xFFFF] {
+                    let x = f32::from_bits(hi << 16 | lo);
+                    let fast = decode_f32(x, format);
+                    let oracle = FpScalar::from_f32(x, format);
+                    let got = (fast.class(), fast.sign != 0, fast.exp, fast.man as u64);
+                    let want =
+                        (oracle.class(), oracle.sign(), oracle.exponent(), oracle.mantissa());
+                    assert_eq!(got, want, "{format}: {:#010x}", x.to_bits());
                 }
             }
         }
