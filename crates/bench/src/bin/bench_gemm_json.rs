@@ -38,6 +38,13 @@
 //! name instead of a `size`; `--quick` times conv1's weight gradient at
 //! a 2-sample batch, `8×512×9`.
 //!
+//! Last come BlockFp rows on the two `tiny_resnet` serving GEMMs
+//! (`serve-blockfp`'s residual convolutions, 8 output channels over a
+//! 72-deep im2col lowering): `res1` `8×72×256` and `res2` `8×72×64`,
+//! with B ≈80% zeros like the lowered post-ReLU activations. Their rows
+//! carry the measured `zero_frac_b` in the id. `--quick` times `res2`
+//! only.
+//!
 //! Each (size, backend, variant) cell reports the best and median of a
 //! few timed repetitions and its speedup over the same run's reference
 //! (see [`daism_bench::harness`]).
@@ -45,7 +52,7 @@
 //! # Guards (CI gates, non-zero exit)
 //!
 //! * **Dispatch guard**: at sizes ≥ 64³, and on the full-size training
-//!   shapes, every non-`reference` row must measure
+//!   and serving shapes, every non-`reference` row must measure
 //!   `speedup_vs_reference ≥ 0.95` — the dispatch layer must never pick
 //!   a variant that loses to the naive loop (the early exact-f32
 //!   regression stays fixed). Smaller smoke sizes are below timing
@@ -106,6 +113,34 @@ const TRAIN_SHAPES: [(&str, usize, usize, usize); 3] =
 /// The `--quick` training shape: conv1's weight gradient at a 2-sample
 /// batch.
 const QUICK_TRAIN_SHAPE: (&str, usize, usize, usize) = ("conv1_grad_w", 8, 512, 9);
+
+/// The `tiny_resnet` serving GEMMs timed on the BlockFp backend, as
+/// `(gemm, m, k, n)`; `--quick` times the last.
+const SERVE_SHAPES: [(&str, usize, usize, usize); 2] =
+    [("serve_res1", 8, 72, 256), ("serve_res2", 8, 72, 64)];
+
+/// Fraction of B zeroed in the serving shapes, as in the lowered
+/// post-ReLU activations the residual convolutions see.
+const SERVE_ZERO_FRAC: f64 = 0.8;
+
+/// [`harness::test_operands`]' A, and a B that is zero at a hashed
+/// `SERVE_ZERO_FRAC` of its positions and ±0.5 or ±1.5 elsewhere; also
+/// returns B's measured zero fraction.
+fn sparse_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>, f64) {
+    let (a, _) = harness::test_operands(m, k, n);
+    let b: Vec<f32> = (0..k * n)
+        .map(|i| {
+            let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            if (h as f64) < SERVE_ZERO_FRAC * (1u64 << 24) as f64 {
+                0.0
+            } else {
+                (i % 4) as f32 - 1.5
+            }
+        })
+        .collect();
+    let zero_frac = b.iter().filter(|&&v| v == 0.0).count() as f64 / b.len() as f64;
+    (a, b, zero_frac)
+}
 
 /// Smallest size the dispatch guard applies to: below this a cell runs
 /// in microseconds and scheduler noise swamps the 5% margin.
@@ -189,6 +224,27 @@ fn main() -> ExitCode {
                 ("shape", quoted(&format!("{m}x{k}x{n}"))),
                 ("gemm", quoted(name)),
                 ("backend", quoted(bf16_name)),
+                ("variant", quoted(variant)),
+            ];
+            report.record(Row::new(id, timing).vs("variant", "reference", floor));
+        }
+    }
+
+    let (shapes, floor) = if quick { (&SERVE_SHAPES[1..], 0.0) } else { (&SERVE_SHAPES[..], 0.95) };
+    let blockfp_name = format!("blockfp_w{BLOCKFP_WIDTH}_pc3_tr");
+    for &(name, m, k, n) in shapes {
+        let (a, b, zero_frac) = sparse_operands(m, k, n);
+        let mut c = vec![0.0f32; m * n];
+        for (variant, f) in blockfp_variants(&blockfp) {
+            if variant == "whole_matrix" {
+                continue;
+            }
+            let timing = harness::time(reps, || f(&a, &b, &mut c, m, k, n));
+            let id = vec![
+                ("shape", quoted(&format!("{m}x{k}x{n}"))),
+                ("gemm", quoted(name)),
+                ("zero_frac_b", format!("{zero_frac:.3}")),
+                ("backend", quoted(&blockfp_name)),
                 ("variant", quoted(variant)),
             ];
             report.record(Row::new(id, timing).vs("variant", "reference", floor));

@@ -56,6 +56,7 @@
 //! the `±0.0` product because a `+0.0` accumulator absorbs signed
 //! zeros.
 
+use crate::blockfp_quant::quantize_block;
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::fp::DecodedTile;
 use crate::mantissa::MantissaMultiplier;
@@ -63,6 +64,7 @@ use crate::microkernel;
 use crate::{ExactMul, ScalarMul};
 use daism_num::BlockFp;
 use rayon::prelude::*;
+use std::cell::Cell;
 
 /// Rows of C per parallel panel (upper bound; small problems split
 /// finer so every worker gets rows).
@@ -663,13 +665,53 @@ pub struct BlockFpGemm {
     tile_n: usize,
 }
 
+/// BlockFp blocks stored flat: every block's mantissas back to back in
+/// one buffer, one shared exponent per block. The engine's quantized A
+/// (one block per `(row, k-tile)`, so `man` keeps A's row-major layout)
+/// and prepared B (one block per tile, in walk order) both live in this
+/// form.
+#[derive(Debug, Clone, Default)]
+struct Blocks {
+    man: Vec<i32>,
+    exp: Vec<i32>,
+}
+
 /// Where [`BlockFpGemm::run`] gets each tile's quantized B block from:
-/// the raw matrix (quantize on the fly, buffer reused) or a prepared
-/// set in the same walk order.
+/// the raw matrix (quantized on the fly into reused buffers) or a
+/// prepared set in the same walk order.
 #[derive(Clone, Copy)]
 enum BTiles<'a> {
     Raw(&'a [f32]),
-    Prepared(&'a [BlockFp]),
+    Prepared(&'a Blocks),
+}
+
+/// One thread's reusable BlockFp operand buffers, kept across tiles and
+/// calls: the quantized A of an unprepared call and the mantissas of one
+/// raw B tile.
+#[derive(Debug, Default)]
+struct Scratch {
+    a: Blocks,
+    tile: Vec<i32>,
+}
+
+thread_local! {
+    /// The walk's operand buffers.
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+    /// The MAC kernel's exact tile accumulators.
+    static ACCS: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's reusable `T`, moved out of its slot for the
+/// duration and put back after, so buffers outlive the call without a
+/// `RefCell` borrow held across it.
+fn with_scratch<T: Default, R>(
+    slot: &'static std::thread::LocalKey<Cell<T>>,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    let mut value = slot.take();
+    let out = f(&mut value);
+    slot.set(value);
+    out
 }
 
 /// An A matrix quantized per `(row, k-tile)` block by
@@ -679,7 +721,7 @@ enum BTiles<'a> {
 /// stationary left operand).
 #[derive(Debug, Clone)]
 pub struct BlockFpPreparedA {
-    blocks: Vec<BlockFp>,
+    blocks: Blocks,
     m: usize,
     k: usize,
     man_width: u32,
@@ -707,7 +749,7 @@ impl BlockFpPreparedA {
 /// operand).
 #[derive(Debug, Clone)]
 pub struct BlockFpPreparedB {
-    tiles: Vec<BlockFp>,
+    tiles: Blocks,
     k: usize,
     n: usize,
     man_width: u32,
@@ -821,27 +863,41 @@ impl BlockFpGemm {
         2f64.powi(exp_a + exp_b - 2 * (self.man_width as i32 - 2))
     }
 
-    /// Gathers the `tile` slice of row-major B into `buf` and quantizes
-    /// it as one block (row-major `[l1-l0, j1-j0]` layout).
-    fn gather_tile(&self, b: &[f32], n: usize, tile: Tile, buf: &mut Vec<f32>) -> BlockFp {
-        buf.clear();
-        for l in tile.l0..tile.l1 {
-            buf.extend_from_slice(&b[l * n + tile.j0..l * n + tile.j1]);
+    /// Quantizes the `m × k` matrix `a` into `out`, one block per
+    /// `(row, k-tile)` segment — the flat form of
+    /// [`BlockFp::quantize_rows`].
+    fn quantize_a(&self, a: &[f32], m: usize, k: usize, out: &mut Blocks) {
+        out.man.clear();
+        out.man.resize(m * k, 0);
+        out.exp.clear();
+        for (row, qrow) in a.chunks_exact(k).zip(out.man.chunks_exact_mut(k)) {
+            for (seg, qseg) in row.chunks(self.tile_k).zip(qrow.chunks_mut(self.tile_k)) {
+                out.exp.push(quantize_block(seg, seg.len(), seg.len(), self.man_width, qseg));
+            }
         }
-        BlockFp::quantize(buf, self.man_width)
+    }
+
+    /// Quantizes `tile` of the row-major matrix `b` (`n` columns) as one
+    /// block, read in place, into `out` (row-major `[l1-l0, j1-j0]`) and
+    /// returns its shared exponent.
+    fn quantize_tile(&self, b: &[f32], n: usize, tile: Tile, out: &mut [i32]) -> i32 {
+        let values = &b[tile.l0 * n + tile.j0..];
+        quantize_block(values, n, tile.j1 - tile.j0, self.man_width, out)
     }
 
     /// Runs one tile's integer MAC loops over the C rows in `c` (a
-    /// `rows × n` slab starting at global row `i0`). `a_blocks` is the
-    /// whole matrix's per-(row, k-tile) quantization, `nkb` the number of
-    /// k-tiles per row.
+    /// `rows × n` slab starting at global row `i0`). `a` is the whole
+    /// `m × k` matrix's per-(row, k-tile) quantization, `nkb` the number
+    /// of k-tiles per row; `mb`/`exp_b` are the tile's B mantissas
+    /// (row-major `[l1-l0, j1-j0]`) and shared exponent.
     #[allow(clippy::too_many_arguments)] // internal kernel seam: operands + shape + tile
     fn mac_rows(
         &self,
-        a_blocks: &[BlockFp],
+        a: &Blocks,
+        k: usize,
         nkb: usize,
         i0: usize,
-        b_tile: &BlockFp,
+        (mb, exp_b): (&[i32], i32),
         c: &mut [f32],
         n: usize,
         tile: Tile,
@@ -850,61 +906,87 @@ impl BlockFpGemm {
         let tw = tile.j1 - tile.j0;
         let lb = tile.l0 / self.tile_k;
         let shift = self.shift_back();
-        let exp_b = b_tile.shared_exp();
-        let mb = b_tile.mantissas();
-        let mut accs = vec![0i64; tw];
-        for r in 0..rows {
-            let ablock = &a_blocks[(i0 + r) * nkb + lb];
-            accs.fill(0);
-            for (dl, &x) in ablock.mantissas().iter().enumerate() {
-                if x == 0 {
-                    continue; // zero bypass, as the hardware does
+        with_scratch(&ACCS, |accs| {
+            accs.clear();
+            accs.resize(tw, 0);
+            for r in 0..rows {
+                let row = i0 + r;
+                let xs = &a.man[row * k + tile.l0..row * k + tile.l1];
+                accs.fill(0);
+                for (dl, &x) in xs.iter().enumerate() {
+                    if x == 0 {
+                        continue; // zero bypass, as the hardware does
+                    }
+                    let sx = (x >> 31) as i64; // 0 or -1: branchless sign
+                    let prep = self.mult.prepare(x.unsigned_abs() as u64);
+                    lane_mac(&self.mult, &prep, &mb[dl * tw..(dl + 1) * tw], sx, shift, accs);
                 }
-                let sx = (x >> 31) as i64; // 0 or -1: branchless sign
-                let prep = self.mult.prepare(x.unsigned_abs() as u64);
-                lane_mac(&self.mult, &prep, &mb[dl * tw..(dl + 1) * tw], sx, shift, &mut accs);
-            }
-            let scale = self.tile_scale(ablock.shared_exp(), exp_b);
-            let crow = &mut c[r * n + tile.j0..r * n + tile.j1];
-            for (cv, &acc) in crow.iter_mut().zip(accs.iter()) {
-                if acc != 0 {
-                    *cv += (acc as f64 * scale) as f32;
+                let scale = self.tile_scale(a.exp[row * nkb + lb], exp_b);
+                let crow = &mut c[r * n + tile.j0..r * n + tile.j1];
+                for (cv, &acc) in crow.iter_mut().zip(accs.iter()) {
+                    if acc != 0 {
+                        *cv += (acc as f64 * scale) as f32;
+                    }
                 }
             }
-        }
+        });
     }
 
     /// The one tile walk behind every entry point: `j0` outer, `l0`
-    /// inner, each tile's B block either quantized on the fly
-    /// ([`BTiles::Raw`]) or read from a prepared set
+    /// inner, each tile's B block either quantized on the fly into
+    /// `tile_man` ([`BTiles::Raw`]) or read from a prepared set
     /// ([`BTiles::Prepared`], same walk order), MAC'd serially or over
     /// `chunk_rows`-row C chunks. Byte-identical either way — each
     /// element's tile contributions are exact integers folded in
     /// ascending-`k` order.
+    #[allow(clippy::too_many_arguments)] // internal walk seam: operands, buffers, shape
     fn run(
         &self,
-        a_blocks: &[BlockFp],
+        a: &Blocks,
         b: BTiles<'_>,
+        tile_man: &mut Vec<i32>,
         c: &mut [f32],
         k: usize,
         n: usize,
         chunk_rows: Option<usize>,
     ) {
         let nkb = k.div_ceil(self.tile_k);
-        let mut buf = Vec::new();
+        let mut offset = 0;
         for (ti, tile) in tiles(k, n, self.tile_k, self.tile_n).enumerate() {
-            let owned;
+            let len = (tile.l1 - tile.l0) * (tile.j1 - tile.j0);
             let b_tile = match b {
                 BTiles::Raw(raw) => {
-                    owned = self.gather_tile(raw, n, tile, &mut buf);
-                    &owned
+                    tile_man.clear();
+                    tile_man.resize(len, 0);
+                    let exp = self.quantize_tile(raw, n, tile, tile_man);
+                    (&tile_man[..], exp)
                 }
-                BTiles::Prepared(tiles) => &tiles[ti],
+                BTiles::Prepared(tiles) => (&tiles.man[offset..offset + len], tiles.exp[ti]),
             };
+            offset += len;
             for_each_slab(c, n, chunk_rows, |i0, cs| {
-                self.mac_rows(a_blocks, nkb, i0, b_tile, cs, n, tile);
+                self.mac_rows(a, k, nkb, i0, b_tile, cs, n, tile);
             });
         }
+    }
+
+    /// [`run`](Self::run) on an unprepared A, quantized into this
+    /// thread's scratch along with the B tiles.
+    #[allow(clippy::too_many_arguments)] // shape + chunk seam, mirrors the float kernels
+    fn run_raw_a(
+        &self,
+        a: &[f32],
+        b: BTiles<'_>,
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        chunk_rows: Option<usize>,
+    ) {
+        with_scratch(&SCRATCH, |s| {
+            self.quantize_a(a, m, k, &mut s.a);
+            self.run(&s.a, b, &mut s.tile, c, k, n, chunk_rows);
+        });
     }
 
     /// `C += Â·B̂` through the tiled engine. Small problems (under ~16k
@@ -921,8 +1003,7 @@ impl BlockFpGemm {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
-        self.run(&a_blocks, BTiles::Raw(b), c, k, n, par_chunk_rows(m, k, n));
+        self.run_raw_a(a, BTiles::Raw(b), c, m, k, n, par_chunk_rows(m, k, n));
     }
 
     /// The parallel kernel with an explicit C row-chunk size, bypassing
@@ -953,8 +1034,7 @@ impl BlockFpGemm {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
-        self.run(&a_blocks, BTiles::Raw(b), c, k, n, Some(chunk_rows));
+        self.run_raw_a(a, BTiles::Raw(b), c, m, k, n, Some(chunk_rows));
     }
 
     /// Quantizes the `m × k` matrix `a` per `(row, k-tile)` block for
@@ -969,13 +1049,11 @@ impl BlockFpGemm {
     /// Panics if `a.len() != m * k`.
     pub fn prepare_a(&self, a: &[f32], m: usize, k: usize) -> BlockFpPreparedA {
         assert_eq!(a.len(), m * k, "A has wrong length");
-        BlockFpPreparedA {
-            blocks: BlockFp::quantize_rows(a, k, self.tile_k, self.man_width),
-            m,
-            k,
-            man_width: self.man_width,
-            tile_k: self.tile_k,
+        let mut blocks = Blocks::default();
+        if k > 0 {
+            self.quantize_a(a, m, k, &mut blocks);
         }
+        BlockFpPreparedA { blocks, m, k, man_width: self.man_width, tile_k: self.tile_k }
     }
 
     /// Quantizes the `k × n` matrix `b` per `tile_k × tile_n` tile for
@@ -989,10 +1067,12 @@ impl BlockFpGemm {
     /// Panics if `b.len() != k * n`.
     pub fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> BlockFpPreparedB {
         assert_eq!(b.len(), k * n, "B has wrong length");
-        let mut buf = Vec::new();
-        let tiles = tiles(k, n, self.tile_k, self.tile_n)
-            .map(|tile| self.gather_tile(b, n, tile, &mut buf))
-            .collect();
+        let mut tiles = Blocks::default();
+        for tile in self::tiles(k, n, self.tile_k, self.tile_n) {
+            let start = tiles.man.len();
+            tiles.man.resize(start + (tile.l1 - tile.l0) * (tile.j1 - tile.j0), 0);
+            tiles.exp.push(self.quantize_tile(b, n, tile, &mut tiles.man[start..]));
+        }
         BlockFpPreparedB {
             tiles,
             k,
@@ -1031,7 +1111,10 @@ impl BlockFpGemm {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        self.run(&ap.blocks, BTiles::Raw(b), c, k, n, par_chunk_rows(m, k, n));
+        let chunk_rows = par_chunk_rows(m, k, n);
+        with_scratch(&SCRATCH, |s| {
+            self.run(&ap.blocks, BTiles::Raw(b), &mut s.tile, c, k, n, chunk_rows);
+        });
     }
 
     /// [`execute`](Self::execute) with the B-side quantization already
@@ -1062,8 +1145,7 @@ impl BlockFpGemm {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
-        self.run(&a_blocks, BTiles::Prepared(&bp.tiles), c, k, n, par_chunk_rows(m, k, n));
+        self.run_raw_a(a, BTiles::Prepared(&bp.tiles), c, m, k, n, par_chunk_rows(m, k, n));
     }
 
     /// The scalar semantic anchor: same per-`(row, k-tile)` /
@@ -1085,12 +1167,13 @@ impl BlockFpGemm {
         let njb = n.div_ceil(self.tile_n);
         let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
         let mut b_tiles = Vec::with_capacity(nkb * njb);
-        let mut buf = Vec::new();
         for l0 in (0..k).step_by(self.tile_k) {
             for j0 in (0..n).step_by(self.tile_n) {
-                let tile =
-                    Tile { l0, l1: (l0 + self.tile_k).min(k), j0, j1: (j0 + self.tile_n).min(n) };
-                b_tiles.push(self.gather_tile(b, n, tile, &mut buf));
+                let tile: Vec<f32> = (l0..(l0 + self.tile_k).min(k))
+                    .flat_map(|l| &b[l * n + j0..l * n + (j0 + self.tile_n).min(n)])
+                    .copied()
+                    .collect();
+                b_tiles.push(BlockFp::quantize(&tile, self.man_width));
             }
         }
         let shift = self.shift_back();

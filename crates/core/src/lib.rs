@@ -67,13 +67,15 @@
 //! assert!((exact - approx) / exact < 0.05);
 //! ```
 
-// Unsafe is denied crate-wide with exactly one exception: the
-// runtime-gated `core::arch` AVX2 register kernel in `microkernel`
-// (compiled only with the default `simd` feature on x86-64). Everything
-// else — including the portable lane kernels — is checked Rust.
+// Unsafe is denied crate-wide except in the two runtime-gated AVX2
+// modules — the `core::arch` register kernel in `microkernel` and the
+// AVX2 build of the BlockFp quantizer in `blockfp_quant` — compiled
+// only with the default `simd` feature on x86-64. Everything else,
+// including the portable kernels, is checked Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod blockfp_quant;
 mod config;
 mod error;
 pub mod error_analysis;

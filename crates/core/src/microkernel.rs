@@ -53,7 +53,7 @@ const MC: usize = 64;
 /// Returns `true` when the runtime-detected AVX2 register kernel is
 /// compiled in *and* the host supports it.
 #[inline]
-fn avx2_available() -> bool {
+pub(crate) fn avx2_available() -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         use std::sync::OnceLock;

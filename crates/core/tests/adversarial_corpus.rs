@@ -17,8 +17,16 @@
 //! wide mantissas take the mask-chain product; the plan holds it seven
 //! times over, 231 columns, so they take the subset-OR-table product and
 //! its tail group holds the zeros, the infinities and the NaN.
+//!
+//! The BlockFp engine gets its own corpus of adversarial *blocks* —
+//! all-zero, subnormal-only, Inf/NaN among finite values, mantissas on
+//! the symmetric clamp edge, and 3.3e38 beside 1e-45 — placed as A
+//! row segments and B tiles, through `execute`, `execute_chunked` and
+//! both prepared operands, against `BlockFpGemm::reference`.
 
-use daism_core::{gemm, ApproxFpMul, GemmPlan, MultiplierConfig, QuantizedExactMul, ScalarMul};
+use daism_core::{
+    gemm, ApproxFpMul, BlockFpGemm, GemmPlan, MultiplierConfig, QuantizedExactMul, ScalarMul,
+};
 use daism_num::FpFormat;
 
 const FORMATS: [FpFormat; 4] = [FpFormat::BF16, FpFormat::FP16, FpFormat::TF32, FpFormat::FP32];
@@ -185,4 +193,129 @@ fn approx_tf32_pc2() {
 #[test]
 fn approx_fp32_pc3_tr() {
     assert_corpus(&ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::FP32));
+}
+
+/// The BlockFp corpus: blocks that stress the quantizer's shared
+/// exponent, its specials and its clamp, each one quantization block
+/// when cycled to a tile's length.
+fn blockfp_blocks() -> Vec<Vec<f32>> {
+    let tiny = f32::from_bits(1); // 1e-45, the smallest subnormal
+                                  // Top-of-octave values next to 1.0: `2 - 2^-(w-1)` sits on the tie
+                                  // that rounds to 2^(w-1) and clamps at width w, `2 - 2^-(w-2)` is
+                                  // exactly the clamp limit, and the largest f32 below 2 clamps at
+                                  // every width up to 24.
+    let mut clamp = vec![f32::from_bits(0x3FFF_FFFF), -f32::from_bits(0x3FFF_FFFF)];
+    for w in [5, 9, 12] {
+        let tie = 2.0 - 2f32.powi(1 - w);
+        clamp.extend([tie, -tie, 2.0 - 2f32.powi(2 - w), 1.0]);
+    }
+    vec![
+        vec![0.0, -0.0],
+        vec![tiny, -1e-40, f32::from_bits(0x007F_FFFF), -tiny, 1e-41, 0.0],
+        vec![1.5, f32::INFINITY, -0.75, f32::NEG_INFINITY, f32::NAN, 0.25, -1.0, f32::NAN],
+        vec![f32::NAN, f32::INFINITY, 0.0, f32::NEG_INFINITY],
+        clamp,
+        vec![3.3e38, tiny, -3.3e38, -tiny, 1.0, f32::MAX, -1e-45],
+        vec![0.5, -1.25, 3.0, -0.125, 0.0, 2.5],
+    ]
+}
+
+/// Every adversarial block as A row segments and as B tiles, against
+/// `BlockFpGemm::reference` through every engine path: A rows are two
+/// blocks (one per k-tile), each of B's four `TILE_K × TILE_N` quarters
+/// one block, rotated so every block meets every other. A second engine
+/// with tiles as wide as B quantizes two quarters per tile, from whole B
+/// rows rather than gathered row segments.
+fn assert_blockfp_corpus(config: MultiplierConfig, width: u32) {
+    const TILE_K: usize = 12;
+    const TILE_N: usize = 5;
+    let engines = [TILE_N, 2 * TILE_N].map(|tn| BlockFpGemm::with_tiles(config, width, TILE_K, tn));
+    let blocks = blockfp_blocks();
+    let cycled = |i: usize, len: usize| -> Vec<f32> {
+        let block = &blocks[i % blocks.len()];
+        block.iter().copied().cycle().take(len).collect()
+    };
+    let (m, k, n) = (blocks.len(), 2 * TILE_K, 2 * TILE_N);
+    let a: Vec<f32> =
+        (0..m).flat_map(|i| [cycled(i, TILE_K), cycled(i + 1, TILE_K)]).flatten().collect();
+    for rotation in 0..blocks.len() {
+        let mut b = vec![0.0f32; k * n];
+        for (lb, jb) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+            let tile = cycled(rotation + 2 * jb + lb, TILE_K * TILE_N);
+            for (dl, row) in tile.chunks_exact(TILE_N).enumerate() {
+                let start = (lb * TILE_K + dl) * n + jb * TILE_N;
+                b[start..start + TILE_N].copy_from_slice(row);
+            }
+        }
+        let run = |f: &dyn Fn(&mut [f32])| {
+            let mut c = vec![0.0f32; m * n];
+            f(&mut c);
+            c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        for engine in &engines {
+            let want = run(&|c| engine.reference(&a, &b, c, m, k, n));
+            let ap = engine.prepare_a(&a, m, k);
+            let bp = engine.prepare_b(&b, k, n);
+            let paths: [(&str, Vec<u32>); 5] = [
+                ("execute", run(&|c| engine.execute(&a, &b, c, m, k, n))),
+                ("execute_chunked(1)", run(&|c| engine.execute_chunked(&a, &b, c, m, k, n, 1))),
+                ("execute_chunked(3)", run(&|c| engine.execute_chunked(&a, &b, c, m, k, n, 3))),
+                ("prepared A", run(&|c| engine.execute_with_prepared_a(&ap, &b, c, n))),
+                ("prepared B", run(&|c| engine.execute_with_prepared_b(&a, &bp, c, m))),
+            ];
+            for (path, got) in paths {
+                if let Some(i) = (0..got.len()).find(|&i| got[i] != want[i]) {
+                    panic!(
+                        "{} tile_n {} via {path}, rotation {rotation}: C[{}][{}] = {}, \
+                         reference gives {}",
+                        engine.name(),
+                        engine.tile_n(),
+                        i / n,
+                        i % n,
+                        f32::from_bits(got[i]),
+                        f32::from_bits(want[i])
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn blockfp_corpus_is_adversarial() {
+    // The quantizer sees what the corpus promises: an all-zero block,
+    // an all-subnormal one, a clamped extreme at every width.
+    let blocks = blockfp_blocks();
+    assert!(blocks[0].iter().all(|&v| v == 0.0));
+    assert!(blocks[1].iter().all(|v| v.is_subnormal() || *v == 0.0));
+    for width in [5u32, 9, 12, 25] {
+        let limit = (1i32 << (width - 1)) - 1;
+        let q = daism_num::BlockFp::quantize(&blocks[4], width);
+        assert!(q.mantissas().contains(&limit) && q.mantissas().contains(&-limit), "width {width}");
+    }
+}
+
+#[test]
+fn blockfp_w5_pc3_tr() {
+    assert_blockfp_corpus(MultiplierConfig::PC3_TR, 5);
+}
+
+#[test]
+fn blockfp_w9_pc3_tr() {
+    assert_blockfp_corpus(MultiplierConfig::PC3_TR, 9);
+}
+
+#[test]
+fn blockfp_w9_fla() {
+    assert_blockfp_corpus(MultiplierConfig::FLA, 9);
+}
+
+#[test]
+fn blockfp_w12_pc2() {
+    assert_blockfp_corpus(MultiplierConfig::PC2, 12);
+}
+
+#[test]
+fn blockfp_w25_pc3() {
+    assert_blockfp_corpus(MultiplierConfig::PC3, 25);
 }

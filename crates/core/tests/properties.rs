@@ -1,5 +1,9 @@
-//! Property-based tests for the multiplier invariants listed in
-//! DESIGN.md §3.
+//! Property-based tests for the multiplier invariants: the
+//! OR-approximation never overestimates and stays within its error
+//! envelope, single partial products and PC3's top three bits are
+//! exact, truncation equals per-line truncation, pre-computed sums
+//! dominate the OR of their parts, and the SRAM-backed multiplier
+//! matches the software model.
 
 use daism_core::ApproxFpMul;
 use daism_core::{

@@ -1,5 +1,5 @@
-//! Deterministic synthetic datasets — the documented substitution for
-//! ImageNet (DESIGN.md §2): small classification tasks whose accuracy
+//! Deterministic synthetic datasets — the substitution for ImageNet
+//! (README, "Substitutions"): small classification tasks whose accuracy
 //! under approximate arithmetic can be compared to an exact baseline.
 
 use crate::tensor::Tensor;

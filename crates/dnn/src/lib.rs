@@ -4,7 +4,7 @@
 //!
 //! The paper evaluates accuracy on ImageNet-scale CNNs (ResNet-50 etc.);
 //! neither the dataset nor pretrained weights can ship with this
-//! reproduction, so the substitution documented in DESIGN.md applies:
+//! reproduction, so the README's "Substitutions" section applies:
 //! small models are trained *in-repo* on deterministic synthetic tasks,
 //! then evaluated under every multiplier backend. The error mechanism
 //! being measured — OR-approximate mantissa products flowing through

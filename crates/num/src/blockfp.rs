@@ -39,16 +39,77 @@ pub struct BlockFp {
     mantissas: Vec<i32>,
 }
 
-/// Unbiased binary exponent of a nonzero finite `f32`, exact for
-/// subnormals too: the value is widened to `f64` (where every `f32`
-/// subnormal is normal) and the exponent read from the bits. `None` for
-/// zeros and non-finite values, which contribute no exponent to a block.
-fn f32_exponent(v: f32) -> Option<i32> {
-    if v == 0.0 || !v.is_finite() {
-        return None;
+/// The bit pattern of `+inf`: a sign-cleared `f32` pattern below it is
+/// finite, one above it is a NaN.
+const INF_BITS: u32 = 0x7F80_0000;
+
+/// Lanes of the chunked max in [`max_finite_abs_bits`].
+const LANES: usize = 8;
+
+/// The absolute bit pattern of the largest finite element of `values`,
+/// or 0 when there is none (empty, all zero, all non-finite).
+///
+/// Non-negative `f32` order equals `u32` order of their bit patterns, so
+/// an integer max over the sign-cleared bits finds the largest
+/// magnitude; infinities and NaNs are masked to 0 first. Written as an
+/// explicit `LANES`-wide chunk loop so the max vectorizes.
+#[inline(always)]
+fn max_finite_abs_bits(values: &[f32]) -> u32 {
+    let finite_abs = |v: f32| {
+        let a = v.to_bits() & !(1 << 31);
+        if a < INF_BITS {
+            a
+        } else {
+            0
+        }
+    };
+    let mut lanes = [0u32; LANES];
+    let mut chunks = values.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = (*lane).max(finite_abs(v));
+        }
     }
-    let bits = (v.abs() as f64).to_bits();
-    Some(((bits >> 52) & 0x7FF) as i32 - 1023)
+    let tail = chunks.remainder().iter().fold(0, |m, &v| m.max(finite_abs(v)));
+    lanes.iter().fold(tail, |m, &l| m.max(l))
+}
+
+/// Rounds one element to its block mantissa: `v · 2^(man_width - 2 -
+/// shared_exp)` rounded to nearest, ties away from zero, clamped to
+/// `±limit`; `±inf` saturates to `±limit` and NaN gives 0.
+///
+/// `bias` is `man_width - 152 - shared_exp`, so `max(e, 1) + bias` is the
+/// power of two that scales the element's integer significand `s`
+/// (`v = s · 2^(max(e, 1) - 150)`) onto the mantissa grid. A negative
+/// power is a rounding right shift, clamped to 31 — exact because `s <
+/// 2^24`, so every shift of 25 or more rounds to 0 anyway. A
+/// non-negative one is an exact left shift. One of the two shifts is
+/// always 0, so both run unconditionally; the specials, the clamp and
+/// the sign are selects, leaving no data-dependent branch.
+#[inline(always)]
+fn quantize_element(v: f32, bias: i32, limit: u32) -> i32 {
+    let bits = v.to_bits();
+    let a = bits & !(1 << 31);
+    let e = (a >> 23) as i32;
+    let s = (a & 0x007F_FFFF) | (u32::from(e != 0) << 23);
+    let d = e.max(1) + bias;
+    let right = (-d).clamp(0, 31) as u32;
+    let left = d.clamp(0, 31) as u32;
+    let half = (1u32 << right) >> 1;
+    let q = (((s + half) >> right) << left).min(limit);
+    let q = if a == INF_BITS { limit } else { q };
+    let q = if a > INF_BITS { 0 } else { q } as i32;
+    let neg = -((bits >> 31) as i32); // 0 or -1
+    (q ^ neg) - neg
+}
+
+/// Panics unless `man_width` is in `2..=31`.
+#[inline(always)]
+fn check_width(man_width: u32) {
+    assert!(
+        (2..=31).contains(&man_width),
+        "mantissa width {man_width} outside supported range 2..=31"
+    );
 }
 
 impl BlockFp {
@@ -62,48 +123,92 @@ impl BlockFp {
     /// only round to zero when sharing a block with much larger values,
     /// which is the BFP error model, not a flush).
     ///
-    /// Rounding is to nearest, ties away from zero, followed by a
-    /// **symmetric** clamp to `±(2^(man_width-1) - 1)`: a mantissa
-    /// magnitude always fits `man_width - 1` bits, so integer datapaths
-    /// consuming [`mantissas`](Self::mantissas) never need to saturate.
-    /// Every element therefore reconstructs within half a quantization
-    /// step, except an extreme whose mantissa rounds to exactly
+    /// Each element becomes `v · 2^(man_width - 2 - shared_exp)` rounded
+    /// to nearest, ties away from zero, followed by a **symmetric** clamp
+    /// to `±(2^(man_width-1) - 1)`: a mantissa magnitude always fits
+    /// `man_width - 1` bits, so integer datapaths consuming
+    /// [`mantissas`](Self::mantissas) never need to saturate. Every
+    /// element therefore reconstructs within half a quantization step,
+    /// except an extreme whose mantissa rounds to exactly
     /// `±2^(man_width-1)` (either sign — a max-magnitude element in the
     /// top half-step sliver of its octave), which clamps and may carry
     /// up to one full step.
     ///
     /// Non-finite values cannot be represented: `NaN` quantizes to `0`
     /// and `±inf` saturates to the clamp limit (neither contributes to
-    /// the shared exponent).
+    /// the shared exponent). A block with no finite nonzero element is
+    /// all zeros with shared exponent 0.
+    ///
+    /// The work is two branch-free passes of integer arithmetic on the
+    /// `f32` bits, no floating point:
+    /// [`shared_exponent`](Self::shared_exponent), then
+    /// [`quantize_mantissas`](Self::quantize_mantissas).
     ///
     /// # Panics
     ///
     /// Panics if `man_width < 2` or `man_width > 31`.
     pub fn quantize(values: &[f32], man_width: u32) -> Self {
-        assert!(
-            (2..=31).contains(&man_width),
-            "mantissa width {man_width} outside supported range 2..=31"
-        );
-        let shared_exp = values.iter().filter_map(|&v| f32_exponent(v)).max();
-
-        let Some(shared_exp) = shared_exp else {
-            // All-zero (or all-non-finite, or empty) block.
-            return BlockFp { shared_exp: 0, man_width, mantissas: vec![0; values.len()] };
+        check_width(man_width);
+        let mut mantissas = vec![0; values.len()];
+        let shared_exp = match Self::shared_exponent(values) {
+            Some(exp) => {
+                Self::quantize_mantissas(values, exp, man_width, &mut mantissas);
+                exp
+            }
+            None => 0,
         };
-
-        let scale = 2f64.powi(man_width as i32 - 2 - shared_exp);
-        let limit = (1i64 << (man_width - 1)) - 1;
-        let mantissas = values
-            .iter()
-            .map(|&v| {
-                // `v as f64 * scale` is exact (f64 covers the product of
-                // any finite f32 and a power of two in this exponent
-                // range); `round` ties away from zero; NaN casts to 0.
-                let q = (v as f64 * scale).round() as i64;
-                q.clamp(-limit, limit) as i32
-            })
-            .collect();
         BlockFp { shared_exp, man_width, mantissas }
+    }
+
+    /// Pass one of [`quantize`](Self::quantize): the largest exponent of
+    /// a finite nonzero element of `values` — the block's shared
+    /// exponent — or `None` when there is none.
+    ///
+    /// An integer max over the sign-cleared bit patterns of the finite
+    /// elements (positive-float order is integer order), in 8 `u32`
+    /// lanes, then the winner's exponent field, or its leading zeros for
+    /// a subnormal. The exponent grows with the magnitude, so the shared
+    /// exponent of a block split into parts is the max over the parts.
+    ///
+    /// `#[inline(always)]`, like [`quantize_mantissas`](Self::quantize_mantissas),
+    /// so a caller compiled for a wider vector unit (the BlockFp GEMM
+    /// engine's runtime-detected AVX2 build) gets the loop compiled for
+    /// it.
+    #[inline(always)]
+    pub fn shared_exponent(values: &[f32]) -> Option<i32> {
+        let max = max_finite_abs_bits(values);
+        if max == 0 {
+            None
+        } else if max >= 1 << 23 {
+            Some((max >> 23) as i32 - 127)
+        } else {
+            // Subnormal: the top set bit of the significand is at
+            // 31 - lz, and the significand's unit is 2^-149.
+            Some(-118 - max.leading_zeros() as i32)
+        }
+    }
+
+    /// Pass two of [`quantize`](Self::quantize): writes the mantissas of
+    /// `values` in a block with exponent `shared_exp` into `out`,
+    /// allocating nothing. Each element's integer significand is shifted
+    /// and rounded in `u32` lanes with no data-dependent branch.
+    /// `shared_exp` must not be below
+    /// [`shared_exponent`](Self::shared_exponent) of `values`: a larger
+    /// element does not fit the mantissa grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `man_width` is outside `2..=31` or if `out.len() !=
+    /// values.len()`.
+    #[inline(always)]
+    pub fn quantize_mantissas(values: &[f32], shared_exp: i32, man_width: u32, out: &mut [i32]) {
+        check_width(man_width);
+        assert_eq!(out.len(), values.len(), "output length must match the block");
+        let bias = man_width as i32 - 152 - shared_exp;
+        let limit = (1u32 << (man_width - 1)) - 1;
+        for (q, &v) in out.iter_mut().zip(values) {
+            *q = quantize_element(v, bias, limit);
+        }
     }
 
     /// Quantizes a row-major `rows × row_len` matrix into **one block per
@@ -211,6 +316,117 @@ impl BlockFp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The rule [`BlockFp::quantize`] implements, in `f64`: the shared
+    /// exponent is the largest exponent of a finite nonzero element
+    /// (read from its exact `f64` widening), and each mantissa is
+    /// `round(v · 2^(man_width - 2 - shared_exp))` clamped to ±limit.
+    /// `v as f64 * scale` is exact, `round` ties away from zero, NaN
+    /// casts to 0 and ±inf saturates. Writes into `out` and returns the
+    /// shared exponent.
+    fn quantize_oracle(values: &[f32], man_width: u32, out: &mut [i32]) -> i32 {
+        let Some(shared_exp) = values.iter().filter_map(|&v| oracle_exponent(v)).max() else {
+            out.fill(0);
+            return 0;
+        };
+        let scale = 2f64.powi(man_width as i32 - 2 - shared_exp);
+        let limit = (1i64 << (man_width - 1)) - 1;
+        for (q, &v) in out.iter_mut().zip(values) {
+            *q = ((v as f64 * scale).round() as i64).clamp(-limit, limit) as i32;
+        }
+        shared_exp
+    }
+
+    /// The exponent the `f64` rule reads off a finite nonzero element.
+    fn oracle_exponent(v: f32) -> Option<i32> {
+        (v != 0.0 && v.is_finite())
+            .then(|| (((v.abs() as f64).to_bits() >> 52) & 0x7FF) as i32 - 1023)
+    }
+
+    /// Every upper-16 bit pattern with five low halves (both ends, both
+    /// sides of the midpoint), each in a block with a pivot that either
+    /// sets the shared exponent or loses to the element: the bit-level
+    /// quantizer equals the `f64` rule.
+    ///
+    /// Elements with the same exponent share one block with the pivot.
+    /// That block's shared exponent is the one each element would get
+    /// in a two-element block with the pivot, and an element's mantissa
+    /// depends only on it, the element and the width — so this is the
+    /// exhaustive two-element check, at long-block speed. The serving
+    /// widths (9, 12) and the widest get every pivot; the rest a cheaper
+    /// set that still covers zero, a unit, the smallest subnormal, the
+    /// largest finite value and a NaN.
+    #[test]
+    fn quantize_matches_f64_rule_exhaustively() {
+        let all = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            7e-45,
+            1e-40,
+            f32::MIN_POSITIVE,
+            3.3e38,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let few = [0.0f32, -1.0, 7e-45, 3.3e38, f32::NAN];
+        let mut groups = std::collections::BTreeMap::<Option<i32>, Vec<f32>>::new();
+        for hi in 0u32..=0xFFFF {
+            for lo in [0x0000u32, 0x7FFF, 0x8000, 0x8001, 0xFFFF] {
+                let v = f32::from_bits(hi << 16 | lo);
+                groups.entry(oracle_exponent(v)).or_default().push(v);
+            }
+        }
+        for width in [2u32, 5, 9, 12, 16, 24, 25, 31] {
+            let pivots: &[f32] = if matches!(width, 9 | 12 | 31) { &all } else { &few };
+            for &pivot in pivots {
+                for group in groups.values() {
+                    let mut block = group.clone();
+                    block.push(pivot);
+                    let mut want = vec![0; block.len()];
+                    let want_exp = quantize_oracle(&block, width, &mut want);
+                    let q = BlockFp::quantize(&block, width);
+                    let (exp, got) = (q.shared_exp(), q.mantissas());
+                    assert_eq!(exp, want_exp, "width {width}, pivot {pivot:e}: shared exponent");
+                    if let Some(i) = (0..block.len()).find(|&i| got[i] != want[i]) {
+                        panic!(
+                            "width {width}, pivot {pivot:e}, element {:#010x}: got {}, \
+                             f64 rule gives {}",
+                            block[i].to_bits(),
+                            got[i],
+                            want[i]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_matches_f64_rule_on_long_blocks() {
+        // Blocks longer than one lane chunk, with the maximum in the
+        // chunked part, in the tail, or only among specials.
+        let mut state = 0x9E37_79B9u32;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        for len in [8usize, 9, 16, 17, 33, 100] {
+            for _ in 0..200 {
+                let values: Vec<f32> = (0..len).map(|_| f32::from_bits(next())).collect();
+                for width in [2u32, 9, 25, 31] {
+                    let mut want = vec![0; len];
+                    let shared_exp = quantize_oracle(&values, width, &mut want);
+                    let block = BlockFp::quantize(&values, width);
+                    assert_eq!((block.shared_exp(), block.mantissas()), (shared_exp, &want[..]));
+                }
+            }
+        }
+    }
 
     #[test]
     fn roundtrip_within_block_precision() {
