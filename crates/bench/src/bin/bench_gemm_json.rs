@@ -27,8 +27,8 @@
 //! * `parallel` — the auto-dispatched engine ([`gemm`]), which adds the
 //!   thread gate on top.
 //!
-//! For the blockfp backend `tiled` *is* the lane-packed engine (one
-//! chunk spanning all rows); `parallel` adds the worker pool.
+//! For the blockfp backend `tiled` *is* the row-lane engine (one chunk
+//! spanning all rows); `parallel` adds the worker pool.
 //!
 //! After the square sizes come bf16/PC3_tr rows on three non-square
 //! `mini_vgg` training GEMMs (16-sample batch): conv1's weight gradient
@@ -41,9 +41,10 @@
 //! Last come BlockFp rows on the two `tiny_resnet` serving GEMMs
 //! (`serve-blockfp`'s residual convolutions, 8 output channels over a
 //! 72-deep im2col lowering): `res1` `8×72×256` and `res2` `8×72×64`,
-//! with B ≈80% zeros like the lowered post-ReLU activations. Their rows
-//! carry the measured `zero_frac_b` in the id. `--quick` times `res2`
-//! only.
+//! each twice: with B ≈80% zeros like the lowered post-ReLU
+//! activations, which the engine's zero bypass skips, and with B dense,
+//! where there is nothing to skip. Their rows carry the measured
+//! `zero_frac_b` in the id. `--quick` times `res2` only, both ways.
 //!
 //! Each (size, backend, variant) cell reports the best and median of a
 //! few timed repetitions and its speedup over the same run's reference
@@ -119,19 +120,20 @@ const QUICK_TRAIN_SHAPE: (&str, usize, usize, usize) = ("conv1_grad_w", 8, 512, 
 const SERVE_SHAPES: [(&str, usize, usize, usize); 2] =
     [("serve_res1", 8, 72, 256), ("serve_res2", 8, 72, 64)];
 
-/// Fraction of B zeroed in the serving shapes, as in the lowered
-/// post-ReLU activations the residual convolutions see.
-const SERVE_ZERO_FRAC: f64 = 0.8;
+/// Fractions of B zeroed in the serving shapes: as in the lowered
+/// post-ReLU activations the residual convolutions see, and none, so
+/// one row exercises the zero bypass and its twin does not.
+const SERVE_ZERO_FRACS: [f64; 2] = [0.8, 0.0];
 
 /// [`harness::test_operands`]' A, and a B that is zero at a hashed
-/// `SERVE_ZERO_FRAC` of its positions and ±0.5 or ±1.5 elsewhere; also
-/// returns B's measured zero fraction.
-fn sparse_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>, f64) {
+/// `zero_frac` of its positions and ±0.5 or ±1.5 elsewhere; also returns
+/// B's measured zero fraction.
+fn sparse_operands(m: usize, k: usize, n: usize, zero_frac: f64) -> (Vec<f32>, Vec<f32>, f64) {
     let (a, _) = harness::test_operands(m, k, n);
     let b: Vec<f32> = (0..k * n)
         .map(|i| {
             let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
-            if (h as f64) < SERVE_ZERO_FRAC * (1u64 << 24) as f64 {
+            if (h as f64) < zero_frac * (1u64 << 24) as f64 {
                 0.0
             } else {
                 (i % 4) as f32 - 1.5
@@ -233,21 +235,23 @@ fn main() -> ExitCode {
     let (shapes, floor) = if quick { (&SERVE_SHAPES[1..], 0.0) } else { (&SERVE_SHAPES[..], 0.95) };
     let blockfp_name = format!("blockfp_w{BLOCKFP_WIDTH}_pc3_tr");
     for &(name, m, k, n) in shapes {
-        let (a, b, zero_frac) = sparse_operands(m, k, n);
-        let mut c = vec![0.0f32; m * n];
-        for (variant, f) in blockfp_variants(&blockfp) {
-            if variant == "whole_matrix" {
-                continue;
+        for zero_frac in SERVE_ZERO_FRACS {
+            let (a, b, zero_frac) = sparse_operands(m, k, n, zero_frac);
+            let mut c = vec![0.0f32; m * n];
+            for (variant, f) in blockfp_variants(&blockfp) {
+                if variant == "whole_matrix" {
+                    continue;
+                }
+                let timing = harness::time(reps, || f(&a, &b, &mut c, m, k, n));
+                let id = vec![
+                    ("shape", quoted(&format!("{m}x{k}x{n}"))),
+                    ("gemm", quoted(name)),
+                    ("zero_frac_b", format!("{zero_frac:.3}")),
+                    ("backend", quoted(&blockfp_name)),
+                    ("variant", quoted(variant)),
+                ];
+                report.record(Row::new(id, timing).vs("variant", "reference", floor));
             }
-            let timing = harness::time(reps, || f(&a, &b, &mut c, m, k, n));
-            let id = vec![
-                ("shape", quoted(&format!("{m}x{k}x{n}"))),
-                ("gemm", quoted(name)),
-                ("zero_frac_b", format!("{zero_frac:.3}")),
-                ("backend", quoted(&blockfp_name)),
-                ("variant", quoted(variant)),
-            ];
-            report.record(Row::new(id, timing).vs("variant", "reference", floor));
         }
     }
     report.finish(&out)

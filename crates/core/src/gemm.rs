@@ -59,7 +59,7 @@
 use crate::blockfp_quant::quantize_block;
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::fp::DecodedTile;
-use crate::mantissa::MantissaMultiplier;
+use crate::mantissa::{MantissaMultiplier, MAX_LINES};
 use crate::microkernel;
 use crate::{ExactMul, ScalarMul};
 use daism_num::BlockFp;
@@ -555,48 +555,122 @@ impl GemmPlan {
 // Block-floating-point GEMM engine
 // -------------------------------------------------------------------
 
-/// Integer lanes per [`MantissaMultiplier::mul_lanes`] group in the
-/// BlockFp MAC kernel.
-const I_LANES: usize = 8;
+/// C rows one pass of the BlockFp MAC kernel carries. The kernel's lanes
+/// run along a slab's rows, the stored A operands: every nonzero B
+/// mantissa streamed in is multiplied against up to this many of them,
+/// as one input element drives the wordlines of every multiplicand in a
+/// group (`SramMultiplier::multiply_group`).
+const ROW_LANES: usize = 4;
 
-/// The lane-packed integer MAC row: folds one prepared A mantissa
-/// against a row of B tile mantissas into the exact `i64` accumulators.
-///
-/// Rides [`MantissaMultiplier::mul_lanes`] in groups of [`I_LANES`] —
-/// the product-table row gather plus a **branchless** per-lane
-/// sign/shift fold (`sx ^ sy` select via XOR/subtract), so the loop
-/// carries no data-dependent branches at all. Zero B mantissas need no
-/// bypass test: their wired-OR read-out is 0 and adding ±0 to an
-/// integer accumulator is exact, so the result is bit-identical to the
-/// branch-guarded scalar reference.
-fn lane_mac(
-    mult: &MantissaMultiplier,
-    prep: &crate::PreparedMultiplicand,
-    ys: &[i32],
-    sx: i64,
-    shift: u32,
-    accs: &mut [i64],
-) {
-    debug_assert_eq!(ys.len(), accs.len());
-    let mut ychunks = ys.chunks_exact(I_LANES);
-    let mut achunks = accs.chunks_exact_mut(I_LANES);
-    for (yc, ac) in (&mut ychunks).zip(&mut achunks) {
-        let mut lanes = [0u64; I_LANES];
-        for (lane, &y) in lanes.iter_mut().zip(yc) {
-            *lane = y.unsigned_abs() as u64;
-        }
-        let raws = mult.mul_lanes_trusted(prep, &lanes);
-        for ((acc, &raw), &y) in ac.iter_mut().zip(&raws).zip(yc) {
-            let s = sx ^ ((y >> 31) as i64);
-            let mag = (raw << shift) as i64;
-            *acc += (mag ^ s) - s; // s == -1 negates, s == 0 passes through
+/// Columns per strip: the MAC kernel runs each tile in strips of this
+/// many columns, so its accumulators stay in L1 cache (`ROW_LANES` `i64`
+/// per column, 8 KiB), and the B index stores one-byte column offsets.
+const STRIP: usize = 256;
+
+/// Quantized B tiles with their nonzero index, built once per tile: each
+/// tile's multiplier keys, and for each tile row the column offsets of
+/// its nonzero mantissas, compacted branch-free. The MAC kernel streams
+/// only those, so a zero B mantissa never reaches it (the
+/// streamed-operand zero bypass, paper §III-C). Tiles follow each other
+/// in walk order, and so do the [`STRIP`]-column strips of each tile
+/// row. `starts` holds where every tile row strip's offsets begin in
+/// `cols`, plus one past the last, so tile row strip `g` (counted over
+/// all tiles) is `cols[starts[g]..starts[g + 1]]`.
+#[derive(Debug, Clone, Default)]
+struct SparseTiles {
+    /// Each tile's keys, row-major `[l1-l0, j1-j0]`: the signed mantissa
+    /// itself when products come from the product table, otherwise its
+    /// sign times its wordline mask.
+    keys: Vec<i32>,
+    /// Column offsets of the nonzero keys within their strip.
+    cols: Vec<u8>,
+    starts: Vec<usize>,
+    /// One shared exponent per tile.
+    exp: Vec<i32>,
+}
+
+impl SparseTiles {
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.cols.clear();
+        self.starts.clear();
+        self.exp.clear();
+    }
+
+    /// Tile `ti` spanning `tile`, whose keys start at `offset` and whose
+    /// first tile row strip is tile row strip `g` of the index.
+    fn tile(&self, ti: usize, tile: Tile, offset: usize, g: usize) -> SparseTile<'_> {
+        let (h, tw) = (tile.l1 - tile.l0, tile.j1 - tile.j0);
+        SparseTile {
+            keys: &self.keys[offset..offset + h * tw],
+            cols: &self.cols,
+            starts: &self.starts[g..=g + h * tw.div_ceil(STRIP)],
+            exp: self.exp[ti],
         }
     }
-    for (acc, &y) in achunks.into_remainder().iter_mut().zip(ychunks.remainder()) {
-        let raw = mult.multiply_prepared(prep, y.unsigned_abs() as u64);
-        let s = sx ^ ((y >> 31) as i64);
-        let mag = (raw << shift) as i64;
-        *acc += (mag ^ s) - s;
+}
+
+/// One tile of a [`SparseTiles`]: its keys, and its tile row strips'
+/// spans (`starts`, row-major) in the index's `cols`.
+#[derive(Clone, Copy)]
+struct SparseTile<'a> {
+    keys: &'a [i32],
+    cols: &'a [u8],
+    starts: &'a [usize],
+    exp: i32,
+}
+
+/// Writes the column offsets of `strip`'s nonzero entries (at most
+/// [`STRIP`] of them) to the front of `cols` (at least `strip.len()`
+/// long) and returns their count. Branch-free: every offset is written at
+/// the running count, which only a nonzero advances; eight at a time, so
+/// each group of writes needs one bounds check.
+fn compact_nonzeros(strip: &[i32], cols: &mut [u8]) -> usize {
+    let mut count = 0;
+    let mut chunks = strip.chunks_exact(8);
+    for (ci, chunk) in (&mut chunks).enumerate() {
+        // `count <= 8 * ci`, so the window fits, and `c` never passes the
+        // chunk index it is written at, so the mask only proves the bound.
+        let window: &mut [u8; 8] = (&mut cols[count..count + 8]).try_into().expect("8 slots");
+        let mut c = 0;
+        for (i, &y) in chunk.iter().enumerate() {
+            window[c & 7] = (8 * ci + i) as u8;
+            c += (y != 0) as usize;
+        }
+        count += c;
+    }
+    let tail = chunks.remainder();
+    for (j, &y) in tail.iter().enumerate() {
+        cols[count] = (strip.len() - tail.len() + j) as u8;
+        count += (y != 0) as usize;
+    }
+    count
+}
+
+/// The MAC loop of the BlockFp kernel over one tile row strip: for each
+/// nonzero key in `keys`, listed by its column offset in `cols`,
+/// `product` gives its magnitude products with the `L` bound A
+/// mantissas, and each is added into the key's column of `accs` with the
+/// sign `sx ^ sy`, branch-free (`s == -1` negates, `s == 0` passes
+/// through). Integer sums are exact, so the order of the adds is free.
+#[inline(always)]
+fn stream<const L: usize>(
+    keys: &[i32],
+    cols: &[u8],
+    sx: [i64; L],
+    accs: &mut [[i64; L]],
+    product: impl Fn(u32) -> [i64; L],
+) {
+    // One length for both, so one bounds check covers both reads.
+    let accs = &mut accs[..keys.len()];
+    for &j in cols {
+        let key = keys[j as usize];
+        let sy = (key >> 31) as i64;
+        let raws = product(key.unsigned_abs());
+        for ((acc, raw), sx) in accs[j as usize].iter_mut().zip(raws).zip(sx) {
+            let s = sx ^ sy;
+            *acc += (raw ^ s) - s;
+        }
     }
 }
 
@@ -606,23 +680,35 @@ fn lane_mac(
 /// # Dataflow
 ///
 /// `C[m×n] += Â[m×k] · B̂[k×n]` where the hats denote BlockFp
-/// quantization:
+/// quantization. A is the stored operand, the multiplicands programmed
+/// into the array; B is streamed, its elements driving the wordlines
+/// (paper §III–IV):
 ///
 /// * **A** is quantized per `(row, k-tile)` segment — one shared
 ///   exponent per `tile_k`-wide row slice
 ///   ([`BlockFp::quantize_rows`]);
 /// * **B** is quantized per `tile_k × tile_n` tile — one shared
-///   exponent per tile, quantized **once per GEMM** and shared
-///   read-only across every C row (and every worker thread), mirroring
-///   the decoded-tile float engine;
-/// * mantissa *magnitudes* multiply through the integer-mode
-///   OR-approximate [`MantissaMultiplier`] (signs XORed exactly, the
-///   line patterns / LUT row of each A mantissa pre-bound per `(row,
-///   l)` via [`MantissaMultiplier::prepare`]);
-/// * each tile accumulates in an **exact `i64`** — no per-product
-///   exponent datapath, no rounding inside the tile — and is folded
-///   into `C` with a single per-tile scale
-///   `2^(expA + expB - 2(man_width - 2))` at the C-update.
+///   exponent per tile — and each tile row's nonzero mantissas are
+///   indexed by their column offsets, in 256-column strips,
+///   **once per GEMM** (once for good with
+///   [`prepare_b`](Self::prepare_b)), then shared read-only by every C
+///   row and worker thread. A zero B mantissa never reaches the
+///   multiplier: the streamed-operand zero bypass of §III-C, where a
+///   zero input activates no wordline;
+/// * the MAC kernel's lanes run along C's rows. Per tile row it binds
+///   each row's A mantissa once (its product-table row, or its stored
+///   line patterns for widths without a table), then multiplies every
+///   indexed B mantissa of that row against all of them, as one input
+///   drives every multiplicand of a group
+///   (`SramMultiplier::multiply_group`). Mantissa *magnitudes* multiply
+///   through the integer-mode OR-approximate [`MantissaMultiplier`],
+///   signs are XORed exactly, and a tile row whose A mantissas are all
+///   zero is skipped as well;
+/// * each tile accumulates in an **exact `i64`** per C element — no
+///   per-product exponent datapath, no rounding inside the tile — and
+///   is folded into `C` with a single per-tile scale
+///   `2^(expA + expB - 2(man_width - 2))` at the C-update, k-tiles in
+///   ascending order.
 ///
 /// # Error model
 ///
@@ -667,31 +753,30 @@ pub struct BlockFpGemm {
 
 /// BlockFp blocks stored flat: every block's mantissas back to back in
 /// one buffer, one shared exponent per block. The engine's quantized A
-/// (one block per `(row, k-tile)`, so `man` keeps A's row-major layout)
-/// and prepared B (one block per tile, in walk order) both live in this
-/// form.
+/// lives in this form, one block per `(row, k-tile)`, so `man` keeps A's
+/// row-major layout.
 #[derive(Debug, Clone, Default)]
 struct Blocks {
     man: Vec<i32>,
     exp: Vec<i32>,
 }
 
-/// Where [`BlockFpGemm::run`] gets each tile's quantized B block from:
-/// the raw matrix (quantized on the fly into reused buffers) or a
-/// prepared set in the same walk order.
+/// Where [`BlockFpGemm::run`] gets each tile's nonzero index from: the
+/// raw matrix (quantized and indexed on the fly into reused buffers) or
+/// a prepared index in the same walk order.
 #[derive(Clone, Copy)]
 enum BTiles<'a> {
     Raw(&'a [f32]),
-    Prepared(&'a Blocks),
+    Prepared(&'a SparseTiles),
 }
 
 /// One thread's reusable BlockFp operand buffers, kept across tiles and
-/// calls: the quantized A of an unprepared call and the mantissas of one
-/// raw B tile.
+/// calls: the quantized A of an unprepared call and the index of one raw
+/// B tile.
 #[derive(Debug, Default)]
 struct Scratch {
     a: Blocks,
-    tile: Vec<i32>,
+    tile: SparseTiles,
 }
 
 thread_local! {
@@ -742,14 +827,14 @@ impl BlockFpPreparedA {
     }
 }
 
-/// A B matrix quantized per `tile_k × tile_n` tile by
-/// [`BlockFpGemm::prepare_b`], for repeated
+/// A B matrix quantized per `tile_k × tile_n` tile and indexed by its
+/// nonzero mantissas by [`BlockFpGemm::prepare_b`], for repeated
 /// [`BlockFpGemm::execute_with_prepared_b`] calls against changing A
 /// operands (the Dense serving pattern: `Wᵀ` is the stationary right
 /// operand).
 #[derive(Debug, Clone)]
 pub struct BlockFpPreparedB {
-    tiles: Blocks,
+    tiles: SparseTiles,
     k: usize,
     n: usize,
     man_width: u32,
@@ -878,94 +963,187 @@ impl BlockFpGemm {
     }
 
     /// Quantizes `tile` of the row-major matrix `b` (`n` columns) as one
-    /// block, read in place, into `out` (row-major `[l1-l0, j1-j0]`) and
-    /// returns its shared exponent.
-    fn quantize_tile(&self, b: &[f32], n: usize, tile: Tile, out: &mut [i32]) -> i32 {
-        let values = &b[tile.l0 * n + tile.j0..];
-        quantize_block(values, n, tile.j1 - tile.j0, self.man_width, out)
+    /// block, read in place, into `out`'s keys and appends the tile's
+    /// nonzero index.
+    fn index_tile(&self, b: &[f32], n: usize, tile: Tile, out: &mut SparseTiles) {
+        let tw = tile.j1 - tile.j0;
+        let start = out.keys.len();
+        out.keys.resize(start + (tile.l1 - tile.l0) * tw, 0);
+        let keys = &mut out.keys[start..];
+        out.exp.push(quantize_block(&b[tile.l0 * n + tile.j0..], n, tw, self.man_width, keys));
+        if out.starts.is_empty() {
+            out.starts.push(0);
+        }
+        for strip in keys.chunks_exact(tw).flat_map(|row| row.chunks(STRIP)) {
+            let nnz = out.cols.len();
+            out.cols.resize(nnz + strip.len(), 0);
+            let count = compact_nonzeros(strip, &mut out.cols[nnz..]);
+            out.cols.truncate(nnz + count);
+            out.starts.push(nnz + count);
+        }
+        if !self.mult.has_table() {
+            let layout = self.mult.layout();
+            for y in keys {
+                let s = *y >> 31;
+                *y = ((layout.decode(y.unsigned_abs() as u64) as i32) ^ s) - s;
+            }
+        }
     }
 
-    /// Runs one tile's integer MAC loops over the C rows in `c` (a
-    /// `rows × n` slab starting at global row `i0`). `a` is the whole
-    /// `m × k` matrix's per-(row, k-tile) quantization, `nkb` the number
-    /// of k-tiles per row; `mb`/`exp_b` are the tile's B mantissas
-    /// (row-major `[l1-l0, j1-j0]`) and shared exponent.
+    /// The one BlockFp MAC kernel: folds B tile `bt` (spanning `tile`)
+    /// into the C rows in `c`, a `rows × n` slab starting at global row
+    /// `i0`. `a` is the whole `m × k` matrix's per-(row, k-tile)
+    /// quantization and `nkb` its number of k-tiles per row. The slab
+    /// runs in groups of up to [`ROW_LANES`] rows, each group with its
+    /// own lane count so a single-row slab binds one A row, not four.
     #[allow(clippy::too_many_arguments)] // internal kernel seam: operands + shape + tile
-    fn mac_rows(
+    fn mac_tile(
         &self,
         a: &Blocks,
         k: usize,
         nkb: usize,
         i0: usize,
-        (mb, exp_b): (&[i32], i32),
+        bt: SparseTile<'_>,
         c: &mut [f32],
         n: usize,
         tile: Tile,
     ) {
         let rows = c.len() / n;
-        let tw = tile.j1 - tile.j0;
-        let lb = tile.l0 / self.tile_k;
-        let shift = self.shift_back();
         with_scratch(&ACCS, |accs| {
-            accs.clear();
-            accs.resize(tw, 0);
-            for r in 0..rows {
-                let row = i0 + r;
-                let xs = &a.man[row * k + tile.l0..row * k + tile.l1];
-                accs.fill(0);
-                for (dl, &x) in xs.iter().enumerate() {
-                    if x == 0 {
-                        continue; // zero bypass, as the hardware does
-                    }
-                    let sx = (x >> 31) as i64; // 0 or -1: branchless sign
-                    let prep = self.mult.prepare(x.unsigned_abs() as u64);
-                    lane_mac(&self.mult, &prep, &mb[dl * tw..(dl + 1) * tw], sx, shift, accs);
+            let mut r0 = 0;
+            while r0 < rows {
+                let lanes = (rows - r0).min(ROW_LANES);
+                let group = (a, k, nkb, i0 + r0, lanes);
+                let cg = &mut c[r0 * n..(r0 + lanes) * n];
+                match lanes {
+                    1 => self.mac_group::<1>(group, bt, cg, n, tile, accs),
+                    2 => self.mac_group::<2>(group, bt, cg, n, tile, accs),
+                    _ => self.mac_group::<ROW_LANES>(group, bt, cg, n, tile, accs),
                 }
-                let scale = self.tile_scale(a.exp[row * nkb + lb], exp_b);
-                let crow = &mut c[r * n + tile.j0..r * n + tile.j1];
-                for (cv, &acc) in crow.iter_mut().zip(accs.iter()) {
-                    if acc != 0 {
-                        *cv += (acc as f64 * scale) as f32;
-                    }
-                }
+                r0 += lanes;
             }
         });
     }
 
-    /// The one tile walk behind every entry point: `j0` outer, `l0`
-    /// inner, each tile's B block either quantized on the fly into
-    /// `tile_man` ([`BTiles::Raw`]) or read from a prepared set
-    /// ([`BTiles::Prepared`], same walk order), MAC'd serially or over
-    /// `chunk_rows`-row C chunks. Byte-identical either way — each
-    /// element's tile contributions are exact integers folded in
-    /// ascending-`k` order.
+    /// [`mac_tile`](Self::mac_tile) on the `lanes <= L` C rows in `c`,
+    /// global rows `row0..row0 + lanes`; lanes past `lanes` bind a zero A
+    /// mantissa, whose products are zero.
+    ///
+    /// The tile runs strip by strip ([`STRIP`] columns). Per tile row,
+    /// each lane's A mantissa is bound once: its product-table row, or,
+    /// for widths without a table, its stored line patterns, laid out
+    /// line-major so one OR chain over a key's active wordlines serves
+    /// every lane. A tile row strip whose B mantissas or A mantissas are
+    /// all zero is skipped whole. Each strip's sums stay exact `i64`
+    /// integers in `accs`, `[column][row]`, and fold into C once per tile
+    /// with the row's per-(row, k-tile) scale.
+    fn mac_group<const L: usize>(
+        &self,
+        (a, k, nkb, row0, lanes): (&Blocks, usize, usize, usize, usize),
+        bt: SparseTile<'_>,
+        c: &mut [f32],
+        n: usize,
+        tile: Tile,
+        accs: &mut Vec<i64>,
+    ) {
+        let tw = tile.j1 - tile.j0;
+        let strips = tw.div_ceil(STRIP);
+        let table = self.mult.table();
+        let layout = self.mult.layout();
+        let mut lines = [[0u64; L]; MAX_LINES];
+        // Products were summed at read-out scale; shifting the exact sum
+        // back equals summing the shifted products.
+        let shift = self.shift_back();
+        let lb = tile.l0 / self.tile_k;
+        for (strip, j0) in (0..tw).step_by(STRIP).enumerate() {
+            let sw = STRIP.min(tw - j0);
+            accs.clear();
+            accs.resize(sw * L, 0);
+            let (accs, _) = accs.as_chunks_mut::<L>();
+            for (dl, keys) in bt.keys.chunks_exact(tw).enumerate() {
+                let g = dl * strips + strip;
+                let cols = &bt.cols[bt.starts[g]..bt.starts[g + 1]];
+                let mut xs = [0i32; L];
+                for (r, x) in xs.iter_mut().enumerate().take(lanes) {
+                    *x = a.man[(row0 + r) * k + tile.l0 + dl];
+                }
+                if cols.is_empty() || xs == [0; L] {
+                    continue;
+                }
+                let keys = &keys[j0..j0 + sw];
+                let sx = xs.map(|x| (x >> 31) as i64);
+                let xs = xs.map(|x| x.unsigned_abs() as usize);
+                if let Some(table) = table {
+                    let bases = xs.map(|x| x << layout.mantissa_width());
+                    // The table holds every (n-bit, n-bit) pair, so the
+                    // mask only elides the bounds check.
+                    let mask = table.len() - 1;
+                    stream(keys, cols, sx, accs, |y| {
+                        bases.map(|base| table[(base | y as usize) & mask] as i64)
+                    });
+                } else {
+                    for (i, line) in lines.iter_mut().enumerate().take(layout.len()) {
+                        *line = xs.map(|x| layout.stored_pattern(i, x as u64));
+                    }
+                    stream(keys, cols, sx, accs, |mask| {
+                        let mut raws = [0u64; L];
+                        let mut m = mask;
+                        while m != 0 {
+                            let line = &lines[m.trailing_zeros() as usize];
+                            for (raw, &pattern) in raws.iter_mut().zip(line) {
+                                *raw |= pattern;
+                            }
+                            m &= m - 1;
+                        }
+                        raws.map(|raw| raw as i64)
+                    });
+                }
+            }
+            for r in 0..lanes {
+                let scale = self.tile_scale(a.exp[(row0 + r) * nkb + lb], bt.exp);
+                let crow = &mut c[r * n + tile.j0 + j0..][..sw];
+                for (cv, acc) in crow.iter_mut().zip(accs.iter()) {
+                    if acc[r] != 0 {
+                        *cv += ((acc[r] << shift) as f64 * scale) as f32;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The one tile walk behind every per-tile entry point: `j0` outer,
+    /// `l0` inner, each tile's nonzero index either built on the fly into
+    /// `tile_buf` ([`BTiles::Raw`]) or read from a prepared index
+    /// ([`BTiles::Prepared`], same walk order), then shared read-only by
+    /// every C slab, MAC'd serially or over `chunk_rows`-row C chunks.
+    /// Byte-identical either way — each element's tile contributions are
+    /// exact integers folded in ascending-`k` order.
     #[allow(clippy::too_many_arguments)] // internal walk seam: operands, buffers, shape
     fn run(
         &self,
         a: &Blocks,
         b: BTiles<'_>,
-        tile_man: &mut Vec<i32>,
+        tile_buf: &mut SparseTiles,
         c: &mut [f32],
         k: usize,
         n: usize,
         chunk_rows: Option<usize>,
     ) {
         let nkb = k.div_ceil(self.tile_k);
-        let mut offset = 0;
+        let (mut offset, mut g) = (0, 0);
         for (ti, tile) in tiles(k, n, self.tile_k, self.tile_n).enumerate() {
-            let len = (tile.l1 - tile.l0) * (tile.j1 - tile.j0);
-            let b_tile = match b {
+            let bt = match b {
                 BTiles::Raw(raw) => {
-                    tile_man.clear();
-                    tile_man.resize(len, 0);
-                    let exp = self.quantize_tile(raw, n, tile, tile_man);
-                    (&tile_man[..], exp)
+                    tile_buf.clear();
+                    self.index_tile(raw, n, tile, tile_buf);
+                    tile_buf.tile(0, tile, 0, 0)
                 }
-                BTiles::Prepared(tiles) => (&tiles.man[offset..offset + len], tiles.exp[ti]),
+                BTiles::Prepared(tiles) => tiles.tile(ti, tile, offset, g),
             };
-            offset += len;
+            offset += bt.keys.len();
+            g += bt.starts.len() - 1;
             for_each_slab(c, n, chunk_rows, |i0, cs| {
-                self.mac_rows(a, k, nkb, i0, b_tile, cs, n, tile);
+                self.mac_tile(a, k, nkb, i0, bt, cs, n, tile);
             });
         }
     }
@@ -1010,9 +1188,9 @@ impl BlockFpGemm {
     /// [`execute`](Self::execute)'s MAC/thread gate — the seam the
     /// determinism tests drive so single-core CI still exercises the
     /// chunk indexing (on a 1-core host the pool degrades to an inline
-    /// loop, but the same slab slicing runs). B tiles are quantized once
-    /// and shared read-only across chunks. Prefer `execute` everywhere
-    /// else.
+    /// loop, but the same slab slicing runs). B tiles are quantized and
+    /// indexed once and shared read-only across chunks. Prefer `execute`
+    /// everywhere else.
     ///
     /// # Panics
     ///
@@ -1057,21 +1235,20 @@ impl BlockFpGemm {
     }
 
     /// Quantizes the `k × n` matrix `b` per `tile_k × tile_n` tile for
-    /// this engine's geometry, in the engine's walk order — the B-side
-    /// conversion [`execute`](Self::execute) pays per call, made
-    /// persistent for weight-stationary callers (`Dense` multiplies
-    /// `Wᵀ` from the right).
+    /// this engine's geometry and indexes each tile's nonzero mantissas,
+    /// in the engine's walk order — the B-side conversion
+    /// [`execute`](Self::execute) pays per call, made persistent for
+    /// weight-stationary callers (`Dense` multiplies `Wᵀ` from the
+    /// right).
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != k * n`.
     pub fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> BlockFpPreparedB {
         assert_eq!(b.len(), k * n, "B has wrong length");
-        let mut tiles = Blocks::default();
+        let mut tiles = SparseTiles::default();
         for tile in self::tiles(k, n, self.tile_k, self.tile_n) {
-            let start = tiles.man.len();
-            tiles.man.resize(start + (tile.l1 - tile.l0) * (tile.j1 - tile.j0), 0);
-            tiles.exp.push(self.quantize_tile(b, n, tile, &mut tiles.man[start..]));
+            self.index_tile(b, n, tile, &mut tiles);
         }
         BlockFpPreparedB {
             tiles,
@@ -1238,29 +1415,15 @@ impl BlockFpGemm {
             "k {k} too deep for exact i64 accumulation at man_width {}",
             self.man_width
         );
-        let block_a = BlockFp::quantize(a, self.man_width);
-        let block_b = BlockFp::quantize(b, self.man_width);
-        let scale = self.tile_scale(block_a.shared_exp(), block_b.shared_exp());
-        let shift = self.shift_back();
-        let (ma, mb) = (block_a.mantissas(), block_b.mantissas());
-        let mut accs = vec![0i64; n];
-        for i in 0..m {
-            accs.fill(0);
-            for l in 0..k {
-                let x = ma[i * k + l];
-                if x == 0 {
-                    continue; // zero bypass
-                }
-                let sx = (x >> 31) as i64;
-                let prep = self.mult.prepare(x.unsigned_abs() as u64);
-                lane_mac(&self.mult, &prep, &mb[l * n..(l + 1) * n], sx, shift, &mut accs);
-            }
-            for (cv, &acc) in c[i * n..(i + 1) * n].iter_mut().zip(accs.iter()) {
-                if acc != 0 {
-                    *cv += (acc as f64 * scale) as f32;
-                }
-            }
-        }
+        // One block per matrix: A's rows all carry its one exponent, and
+        // B is one tile spanning the whole matrix.
+        let mut block_a = Blocks { man: vec![0; m * k], exp: Vec::new() };
+        let exp_a = quantize_block(a, k, k, self.man_width, &mut block_a.man);
+        block_a.exp.resize(m, exp_a);
+        let whole = Tile { l0: 0, l1: k, j0: 0, j1: n };
+        let mut index = SparseTiles::default();
+        self.index_tile(b, n, whole, &mut index);
+        self.mac_tile(&block_a, k, 1, 0, index.tile(0, whole, 0, 0), c, n, whole);
     }
 }
 
@@ -1657,6 +1820,41 @@ mod tests {
             for (t, w) in tiled.iter().zip(&whole) {
                 assert_eq!(t.to_bits(), w.to_bits(), "{config}: {t} vs {w}");
             }
+        }
+    }
+
+    #[test]
+    fn blockfp_tiles_wider_than_a_strip_match_reference() {
+        // The kernel runs a tile in `STRIP`-column strips, each indexed
+        // with its own one-byte column offsets: a tile three strips wide
+        // (the last one partial), B mostly zero, and B's second row zero
+        // in the first strip only.
+        let (m, k, n) = (5usize, 5usize, 2 * STRIP + 37);
+        let a = test_matrix(m * k, 41);
+        let mut b = test_matrix(k * n, 42);
+        for (i, v) in b.iter_mut().enumerate() {
+            if i % 4 != 0 {
+                *v = 0.0;
+            }
+        }
+        b[n..n + STRIP].fill(0.0);
+        for width in [9u32, 12] {
+            let engine = BlockFpGemm::with_tiles(MultiplierConfig::PC3_TR, width, 3, NC);
+            let mut reference = vec![0.0f32; m * n];
+            engine.reference(&a, &b, &mut reference, m, k, n);
+            let mut out = vec![0.0f32; m * n];
+            engine.execute_chunked(&a, &b, &mut out, m, k, n, 3);
+            assert_bits_eq(&reference, &out, "strips, chunked");
+            let bp = engine.prepare_b(&b, k, n);
+            let mut out = vec![0.0f32; m * n];
+            engine.execute_with_prepared_b(&a, &bp, &mut out, m);
+            assert_bits_eq(&reference, &out, "strips, prepared B");
+            // Whole-matrix mode runs all of B as one tile.
+            let spanning = BlockFpGemm::with_tiles(MultiplierConfig::PC3_TR, width, k, n);
+            let (mut tiled, mut whole) = (vec![0.0f32; n], vec![0.0f32; n]);
+            spanning.execute(&a[..k], &b, &mut tiled, 1, k, n);
+            spanning.execute_whole_matrix(&a[..k], &b, &mut whole, 1, k, n);
+            assert_bits_eq(&tiled, &whole, "strips, whole matrix");
         }
     }
 

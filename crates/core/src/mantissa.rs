@@ -281,8 +281,7 @@ impl MantissaMultiplier {
     /// call multiplies the prepared multiplicand against `L` multiplier
     /// lanes at once, returning the per-lane wired-OR read-outs.
     ///
-    /// This is the integer heart of the lane-packed GEMM microkernels:
-    /// for narrow mantissas the memoized product table row bound to
+    /// For narrow mantissas the memoized product table row bound to
     /// `prep` is gathered per lane (a 2ⁿ-entry, cache-resident slice),
     /// and operand validation is amortised over the whole lane group
     /// instead of paid per scalar. Wider mantissas fall back to the
@@ -310,21 +309,6 @@ impl MantissaMultiplier {
                 "an fp-mode multiplier lane lacks its leading one"
             );
         }
-        self.mul_lanes_trusted(prep, b)
-    }
-
-    /// [`mul_lanes`](Self::mul_lanes) without per-group operand
-    /// re-validation, for crate-internal hot loops whose lanes come from
-    /// already-validated decodes (quantized BlockFp mantissas, decoded
-    /// `Normal` scalars) — the lane counterpart of
-    /// [`multiply_prepared_trusted`](Self::multiply_prepared_trusted).
-    #[inline]
-    pub(crate) fn mul_lanes_trusted<const L: usize>(
-        &self,
-        prep: &PreparedMultiplicand,
-        b: &[u64; L],
-    ) -> [u64; L] {
-        debug_assert!(b.iter().all(|&v| bits::width_of(v) <= self.layout.mantissa_width()));
         let mut out = [0u64; L];
         if let Some(row) = self.lut_row(prep) {
             // `row` is exactly 2^n entries, so masking the index both
@@ -359,6 +343,13 @@ impl MantissaMultiplier {
         } else {
             self.layout.decode(b) as u32
         }
+    }
+
+    /// The memoized product table, `table[(a << n) | b] = multiply(a, b)`,
+    /// or `None` for widths served by the prepared-pattern OR path.
+    #[inline]
+    pub(crate) fn table(&self) -> Option<&[u16]> {
+        self.lut.as_deref().map(Vec::as_slice)
     }
 
     /// The memoized product-table row bound to `prep` (all 2ⁿ products

@@ -9,9 +9,11 @@
 //!    naive scalar [`BlockFpGemm::reference`] for every multiplier
 //!    configuration, mantissa width in `5..=25`, tile geometry and shape
 //!    — including `m == 1`, `k == 1`, zero dims and
-//!    non-multiple-of-tile edges. With matrix-spanning tiles and a
-//!    single row, the engine must also match the whole-matrix
-//!    (single-block) mode bit for bit.
+//!    non-multiple-of-tile edges, and for sparse B: zero fractions up
+//!    to 1, and an empty tile row, column or tile, which the engine's
+//!    index of nonzero B mantissas must skip. With matrix-spanning
+//!    tiles and a single row, the engine must also match the
+//!    whole-matrix (single-block) mode bit for bit.
 //! 2. **Determinism** — output is byte-identical across chunk sizes
 //!    (the only scheduling-dependent parameter — thread count feeds the
 //!    kernel *only* through `chunk_rows`, so sweeping it is the
@@ -217,6 +219,192 @@ proptest! {
                 c[0] == 0.0 || (c[0] < 0.0) == neg,
                 "{}: sign of {} wrong for {}·{}", engine.name(), c[0], a[0], b0
             );
+        }
+    }
+}
+
+/// Where B's zeros sit in the sparse-B properties: a zero fraction, or
+/// one of the layouts at which the engine's nonzero index of B has an
+/// edge.
+#[derive(Debug, Clone, Copy)]
+enum Zeros {
+    /// Each element zero with this probability.
+    Fraction(f64),
+    /// One tile row all zero, inside one tile.
+    TileRow,
+    /// One column all zero, through every tile.
+    Column,
+    /// One whole tile zero, beside nonzero ones.
+    Tile,
+    /// Exactly one nonzero in each tile.
+    OnePerTile,
+}
+
+fn zeros() -> impl Strategy<Value = Zeros> {
+    prop::sample::select(vec![
+        Zeros::Fraction(0.0),
+        Zeros::Fraction(0.5),
+        Zeros::Fraction(0.8),
+        Zeros::Fraction(0.97),
+        Zeros::Fraction(1.0),
+        Zeros::TileRow,
+        Zeros::Column,
+        Zeros::Tile,
+        Zeros::OnePerTile,
+    ])
+}
+
+/// Nonzero values of both signs, spread over a few octaves.
+fn nonzeros(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    prop::collection::vec((0.25f32..4.0, any::<bool>()), len)
+        .prop_map(|v| v.into_iter().map(|(x, neg)| if neg { -x } else { x }).collect())
+}
+
+/// Zeroes the elements of the `k × n` matrix `b` that `zeros` names, for
+/// `tile_k × tile_n` tiles. `coins` (one per element, in `[0, 1)`) draw
+/// the fraction; `pick` chooses the row, column, tile or position.
+fn apply_zeros(
+    b: &mut [f32],
+    coins: &[f64],
+    zeros: Zeros,
+    pick: usize,
+    (k, n): (usize, usize),
+    (tile_k, tile_n): (usize, usize),
+) {
+    let (nkb, njb) = (k.div_ceil(tile_k), n.div_ceil(tile_n));
+    let (lb, jb) = (pick % nkb, pick / nkb % njb);
+    let tile_rows = lb * tile_k..((lb + 1) * tile_k).min(k);
+    let tile_cols = jb * tile_n..((jb + 1) * tile_n).min(n);
+    for l in 0..k {
+        for j in 0..n {
+            let zero = match zeros {
+                Zeros::Fraction(p) => coins[l * n + j] < p,
+                Zeros::TileRow => {
+                    l == tile_rows.start + pick % tile_rows.len() && tile_cols.contains(&j)
+                }
+                Zeros::Column => j == pick % n,
+                Zeros::Tile => tile_rows.contains(&l) && tile_cols.contains(&j),
+                Zeros::OnePerTile => {
+                    let (tl, tj) = (l / tile_k, j / tile_n);
+                    let th = tile_k.min(k - tl * tile_k);
+                    let tw = tile_n.min(n - tj * tile_n);
+                    let keep = (pick + 31 * tl + 17 * tj) % (th * tw);
+                    (l - tl * tile_k) * tw + (j - tj * tile_n) != keep
+                }
+            };
+            if zero {
+                b[l * n + j] = 0.0;
+            }
+        }
+    }
+}
+
+/// Bit-compares `got` against `reference` for the sparse-B properties.
+fn assert_bits(
+    engine: &BlockFpGemm,
+    what: &str,
+    reference: &[f32],
+    got: &[f32],
+) -> Result<(), TestCaseError> {
+    for (i, (r, t)) in reference.iter().zip(got).enumerate() {
+        prop_assert_eq!(
+            r.to_bits(),
+            t.to_bits(),
+            "{} tiles ({}, {}) {} element {}: reference {} vs engine {}",
+            engine.name(),
+            engine.tile_k(),
+            engine.tile_n(),
+            what,
+            i,
+            r,
+            t
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The streamed-operand zero bypass: the engine multiplies only the
+    /// nonzero B mantissas its index lists, so sparse B, and B with an
+    /// empty tile row, column or tile, must still match the reference
+    /// bit for bit on every path, with slabs of 1 to 9 rows (so row
+    /// groups of every lane count and a partial last group), for widths
+    /// served by the product table (5, 9) and by line patterns (12, 25).
+    #[test]
+    fn sparse_b_bit_identical_to_reference(
+        case in (1usize..=9, 1usize..=12, 1usize..=20).prop_flat_map(|(m, k, n)| {
+            (
+                Just((m, k, n)),
+                nonzeros(m * k),
+                nonzeros(k * n),
+                prop::collection::vec(0.0f64..1.0, k * n),
+            )
+        }),
+        zeros in zeros(),
+        pick in 0usize..1000,
+        tile_k in 1usize..=5,
+        tile_n in 1usize..=20,
+    ) {
+        let ((m, k, n), mut a, mut b, coins) = case;
+        apply_zeros(&mut b, &coins, zeros, pick, (k, n), (tile_k, tile_n));
+        // One A column zero in every row: a tile row the kernel skips
+        // for every row group.
+        for row in a.chunks_exact_mut(k) {
+            row[pick % k] = 0.0;
+        }
+        let run = |f: &dyn Fn(&mut [f32])| {
+            let mut c = vec![0.0f32; m * n];
+            f(&mut c);
+            c
+        };
+        for width in [5u32, 9, 12, 25] {
+            for config in MultiplierConfig::ALL {
+                let engine = BlockFpGemm::with_tiles(config, width, tile_k, tile_n);
+                let reference = run(&|c| engine.reference(&a, &b, c, m, k, n));
+                let out = run(&|c| engine.execute(&a, &b, c, m, k, n));
+                assert_bits(&engine, "execute", &reference, &out)?;
+                for chunk_rows in [1usize, 3, m] {
+                    let out = run(&|c| engine.execute_chunked(&a, &b, c, m, k, n, chunk_rows));
+                    assert_bits(&engine, &format!("chunk {chunk_rows}"), &reference, &out)?;
+                }
+                let ap = engine.prepare_a(&a, m, k);
+                let out = run(&|c| engine.execute_with_prepared_a(&ap, &b, c, n));
+                assert_bits(&engine, "prepared A", &reference, &out)?;
+                let bp = engine.prepare_b(&b, k, n);
+                let out = run(&|c| engine.execute_with_prepared_b(&a, &bp, c, m));
+                assert_bits(&engine, "prepared B", &reference, &out)?;
+            }
+        }
+    }
+
+    /// With one row and tiles spanning the matrix, whole-matrix mode and
+    /// the per-tile engine coincide, so the whole-matrix path, which runs
+    /// the same MAC kernel over one matrix-wide tile, must match the
+    /// engine bit for bit on sparse B too.
+    #[test]
+    fn sparse_b_whole_matrix_matches_engine_on_single_row(
+        case in (1usize..=12, 1usize..=20).prop_flat_map(|(k, n)| {
+            (
+                Just((k, n)),
+                nonzeros(k),
+                nonzeros(k * n),
+                prop::collection::vec(0.0f64..1.0, k * n),
+            )
+        }),
+        zeros in zeros(),
+        pick in 0usize..1000,
+    ) {
+        let ((k, n), a, mut b, coins) = case;
+        apply_zeros(&mut b, &coins, zeros, pick, (k, n), (k, n));
+        for width in [5u32, 9, 12, 25] {
+            for config in MultiplierConfig::ALL {
+                let engine = BlockFpGemm::with_tiles(config, width, k, n);
+                let mut tiled = vec![0.0f32; n];
+                let mut whole = vec![0.0f32; n];
+                engine.execute(&a, &b, &mut tiled, 1, k, n);
+                engine.execute_whole_matrix(&a, &b, &mut whole, 1, k, n);
+                assert_bits(&engine, "whole-matrix", &tiled, &whole)?;
+            }
         }
     }
 }
